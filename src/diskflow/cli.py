@@ -10,7 +10,6 @@ Every output file starts with a comment header embedding the fully resolved
 configuration, and all numbers are written in full double precision, so
 identical configs produce byte-identical outputs.  The exit status is 0 on
 success, 2 when a requested acceptance-style check fails, and 1 on errors.
-Set DISKFLOW_THREADS to parallelize the per-mode solves.
 """
 
 from __future__ import annotations

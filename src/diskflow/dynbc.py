@@ -22,6 +22,11 @@ an exact invariant of every step, up to the far-field leak at r_max and
 linear-solver roundoff.  Time stepping is the theta-method (Crank-Nicolson by
 default) with a configurable number of damped implicit-Euler startup steps to
 smooth rough initial data before the trapezoidal steps take over.
+
+Several channels advance together as one packed system (PackedStepper): the
+distinct operators are blocks of one banded matrix, the channels sharing an
+operator are its right-hand-side columns, and every (sub)step is one banded
+Cholesky solve.  A single channel (step) is the one-block case.
 """
 
 from __future__ import annotations
@@ -112,43 +117,58 @@ class ScalarModeState:
         return self.grid.n_points
 
 
-class _Stepper:
-    """Cached factorization of one (grid, params, dt) implicit system."""
+class PackedStepper:
+    """Theta-method system of several scalar channel operators, solved as one.
 
-    def __init__(self, grid, params, dt):
-        self.grid = grid
-        self.params = params
-        self.dt = dt
+    Block b holds the unknowns of operator ops[b]: [ell, y_1 .. y_{n-2}] for
+    the dynamic variant (y_0 == ell) and [y_1 .. y_{n-2}] for the Dirichlet
+    one (y_{n-1} == 0 in both).  The blocks sit along the diagonal of one SPD
+    tridiagonal matrix whose coupling entry at each block edge is zero, so
+    they stay exactly decoupled.  Channels sharing an operator are the
+    columns of the right-hand side: a system advances by one banded Cholesky
+    solve per (sub)step, factored once per (theta, dt).  All operators share
+    one viscosity.
+    """
+
+    def __init__(self, grid, ops):
+        if len({p.nu for p in ops}) != 1:
+            raise InvalidArgument("packed operators must share one viscosity")
+        self.nu = ops[0].nu
         w = grid.quad_weights
         r = grid.nodes
-        h = grid.spacings
-        fr = grid.face_r
-        k = params.k
-        self.dynamic = params.variant == "dynamic"
+        stiff = grid.face_r / grid.spacings  # exact P1 element integrals r_{i+1/2}/h_i
+        # (start, end, first node, alpha) of each block in the packed vector
+        self.blocks = []
+        mvec, diag, off = [], [], []
+        start = 0
+        for p in ops:
+            kk = p.k * p.k
+            # nodes 1 .. n-2; the Dirichlet variant stops there
+            d = stiff[:-1] + stiff[1:] + kk * w[1:-1] / r[1:-1] ** 2
+            m = w[1:-1]
+            lo = 1
+            if p.variant == "dynamic":
+                # node 0 carries ell: ball mass 1/alpha and boundary flux k*y
+                d = np.concatenate(([stiff[0] + kk * w[0] / r[0] ** 2 + p.k], d))
+                m = np.concatenate(([w[0] + 1.0 / p.alpha_tilde], m))
+                lo = 0
+            self.blocks.append((start, start + m.size, lo, p.alpha_tilde))
+            start += m.size
+            mvec.append(m)
+            diag.append(d)
+            off += [-stiff[lo:-1], [0.0]]  # no coupling into the next block
+        self.mvec = np.concatenate(mvec)
+        self.k_diag = np.concatenate(diag)
+        self.k_off = np.concatenate(off)[:-1]
+        self._systems = {}
 
-        if self.dynamic:
-            # unknowns [ell, y_1 .. y_{n-2}]; y_0 == ell, y_{n-1} == 0
-            mvec = np.concatenate(([w[0] + 1.0 / params.alpha_tilde], w[1:-1]))
-            diag = np.empty(grid.n_points - 1)
-            diag[0] = fr[0] / h[0] + k * k * w[0] / r[0] ** 2 + k
-            diag[1:] = fr[:-1] / h[:-1] + fr[1:] / h[1:] + k * k * w[1:-1] / r[1:-1] ** 2
-            off = -fr[:-1] / h[:-1]
-        else:
-            # unknowns [y_1 .. y_{n-2}]
-            mvec = w[1:-1].copy()
-            diag = fr[:-1] / h[:-1] + fr[1:] / h[1:] + k * k * w[1:-1] / r[1:-1] ** 2
-            off = -fr[1:-1] / h[1:-1]
-
-        self.mvec = mvec
-        self.k_diag = diag
-        self.k_off = off
-        self._factor = {}
-
-    def _cholesky(self, theta, dt):
+    def _system(self, theta, dt):
+        """Banded Cholesky factor of M + theta dt nu K, and the explicit
+        coefficient (1 - theta) dt nu."""
         key = (theta, dt)
-        fac = self._factor.get(key)
-        if fac is None:
-            a = theta * self.params.nu * dt
+        sys_ = self._systems.get(key)
+        if sys_ is None:
+            a = theta * self.nu * dt
             ab = np.zeros((2, self.mvec.size))
             ab[0, 1:] = a * self.k_off
             ab[1] = self.mvec + a * self.k_diag
@@ -156,60 +176,92 @@ class _Stepper:
                 fac = cholesky_banded(ab, lower=False)
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise SolverFailure("implicit system is not positive definite") from exc
-            self._factor[key] = fac
-        return fac
+            sys_ = self._systems[key] = (fac, (1.0 - theta) * self.nu * dt)
+        return sys_
 
     def _apply_k(self, u):
         out = self.k_diag * u
-        out[:-1] += self.k_off * u[1:]
-        out[1:] += self.k_off * u[:-1]
+        out[..., :-1] += self.k_off * u[..., 1:]
+        out[..., 1:] += self.k_off * u[..., :-1]
         return out
 
-    def advance(self, u, theta, dt, source=None, mass_fix=0.0):
-        rhs = self.mvec * u - ((1.0 - theta) * self.params.nu * dt) * self._apply_k(u)
-        if mass_fix:
-            rhs[0] += mass_fix
+    def _advance(self, u, theta, dt, source=None, trace_fix=None):
+        fac, explicit = self._system(theta, dt)
+        rhs = self._apply_k(u)
+        rhs *= -explicit
+        rhs += self.mvec * u  # M u - (1 - theta) dt nu K u
+        if trace_fix is not None:
+            rhs += trace_fix
         if source is not None:
-            rhs = rhs + dt * source
-        return cho_solve_banded((self._cholesky(theta, dt), False), rhs)
+            rhs += dt * source
+        return cho_solve_banded((fac, False), rhs.T).T
 
-    def pack(self, state):
-        if self.dynamic:
-            return np.concatenate(([state.ell], state.y[1:-1]))
-        return state.y[1:-1].copy()
+    def step(self, channels, dt, theta, startup_steps, sources=None, first_step=False):
+        """Advance every channel by one step of length dt.
 
-    def unpack(self, u, t):
-        y = np.zeros(self.grid.n_points)
-        if self.dynamic:
-            y[0] = u[0]
-            y[1:-1] = u[1:]
-            ell = float(u[0])
+        channels[b] holds the ScalarModeStates of block b, one per column;
+        sources, if given, has the same layout with (fluid values, boundary
+        source) pairs or None.  first_step=True runs startup_steps
+        implicit-Euler substeps instead of one theta step.  Returns the new
+        states in the same layout.
+        """
+        if dt <= 0:
+            raise InvalidArgument("dt must be > 0")
+        grid = channels[0][0].grid
+        w = grid.quad_weights
+        u = np.zeros((max(map(len, channels)), self.mvec.size))
+        fix = np.zeros_like(u) if first_step else None
+        for (s, e, lo, _), states in zip(self.blocks, channels):
+            for c, st in enumerate(states):
+                u[c, s:e] = st.y[lo:-1]
+                if lo == 0:
+                    u[c, s] = st.ell
+                    # An initial trace mismatch y[0] != ell is allowed; the
+                    # packed unknown carries ell, so the first right-hand side
+                    # restores the true mass w_0*y[0] + ell/alpha before the
+                    # implicit step smooths the jump.
+                    if first_step:
+                        fix[c, s] = w[0] * (st.y[0] - st.ell)
+        forcing = None
+        if sources is not None:
+            forcing = np.zeros_like(u)
+            for (s, e, lo, alpha), block in zip(self.blocks, sources):
+                for c, src in enumerate(block):
+                    if src is not None:
+                        fluid = np.asarray(src[0], dtype=float)
+                        forcing[c, s:e] = w[lo:-1] * fluid[lo:-1]
+                        if lo == 0:
+                            forcing[c, s] += float(src[1]) / alpha
+        shape = u.shape
+        if shape[0] == 1:  # a single column advances as a vector: cheaper array calls
+            u = u[0]
+            forcing = None if forcing is None else forcing[0]
+            fix = None if fix is None else fix[0]
+        if first_step and startup_steps > 0 and theta != 1.0:
+            for i in range(startup_steps):
+                u = self._advance(u, 1.0, dt / startup_steps, forcing, fix if i == 0 else None)
         else:
-            y[1:-1] = u
-            ell = 0.0
-        return ScalarModeState(self.grid, y, ell, t)
-
-    def pack_source(self, fluid, ell_source):
-        """Weighted source vector for `advance` from nodal fluid values and d(ell)/dt."""
-        w = self.grid.quad_weights
-        if self.dynamic:
-            b = np.concatenate(
-                ([w[0] * fluid[0] + ell_source / self.params.alpha_tilde], w[1:-1] * fluid[1:-1])
-            )
-        else:
-            b = w[1:-1] * fluid[1:-1]
-        return b
-
-
-_STEPPERS: dict = {}
+            u = self._advance(u, theta, dt, forcing, fix)
+        u = u.reshape(shape)
+        if not np.all(np.isfinite(u)):
+            raise SolverFailure("non-finite values after implicit step")
+        out = []
+        for (s, e, lo, _), states in zip(self.blocks, channels):
+            new = []
+            for c, st in enumerate(states):
+                y = np.zeros(grid.n_points)
+                y[lo:-1] = u[c, s:e]
+                new.append(ScalarModeState(grid, y, float(y[0]), st.t + dt))
+            out.append(new)
+        return out
 
 
-def _stepper(grid, params):
-    key = (id(grid), params.k, params.alpha_tilde, params.nu, params.variant)
-    st = _STEPPERS.get(key)
-    if st is None or st.grid is not grid:
-        st = _Stepper(grid, params, None)
-        _STEPPERS[key] = st
+def packed_stepper(grid, ops):
+    """The PackedStepper of operators ops on grid, memoized on the grid."""
+    key = ("dynbc", tuple((p.k, p.alpha_tilde, p.nu, p.variant) for p in ops))
+    st = grid.cache.get(key)
+    if st is None:
+        st = grid.cache[key] = PackedStepper(grid, ops)
     return st
 
 
@@ -223,28 +275,10 @@ def step(state, params, dt, source=None, first_step=False):
     instead of a single trapezoidal step (Rannacher smoothing of rough
     initial data).
     """
-    if dt <= 0:
-        raise InvalidArgument("dt must be > 0")
-    st = _stepper(state.grid, params)
-    u = st.pack(state)
-    b = None
-    if source is not None:
-        b = st.pack_source(np.asarray(source[0], dtype=float), float(source[1]))
-    # An initial trace mismatch y[0] != ell is allowed; the packed unknown
-    # carries ell, so the first right-hand side restores the true mass
-    # w_0*y[0] + ell/alpha before the implicit step smooths the jump.
-    mass_fix = 0.0
-    if first_step and st.dynamic:
-        mass_fix = st.grid.quad_weights[0] * (state.y[0] - state.ell)
-    if first_step and params.startup_steps > 0 and params.theta != 1.0:
-        nsub = params.startup_steps
-        for i in range(nsub):
-            u = st.advance(u, 1.0, dt / nsub, b, mass_fix if i == 0 else 0.0)
-    else:
-        u = st.advance(u, params.theta, dt, b, mass_fix)
-    if not np.all(np.isfinite(u)):
-        raise SolverFailure("non-finite values after implicit step")
-    return st.unpack(u, state.t + dt)
+    st = packed_stepper(state.grid, (params,))
+    ((new,),) = st.step(((state,),), dt, params.theta, params.startup_steps,
+                        None if source is None else ((source,),), first_step)
+    return new
 
 
 def evolve(state0, params, t_end, dt, observer=None, observe_times=None):

@@ -53,6 +53,19 @@ class StreamPair:
             raise InvalidArgument("psi[0] must equal ell (trace continuity)")
 
 
+def _powers(grid, k):
+    """r^k at the nodes, memoized on the grid; an array of orders gives one
+    row per order."""
+    key = ("r**k", np.ndim(k), tuple(int(j) for j in np.ravel(k)))
+    rk = grid.cache.get(key)
+    if rk is None:
+        r = grid.nodes
+        rk = r ** int(k) if np.ndim(k) == 0 else np.stack([r ** int(j) for j in k])
+        rk.flags.writeable = False
+        grid.cache[key] = rk
+    return rk
+
+
 def _forward(grid, profile, k, seed=None):
     """Exact inverse of the trapezoid map: nodal z such that the trapezoid of
     s^k z over interval j reproduces the increment of r^k * profile there.
@@ -69,26 +82,30 @@ def _forward(grid, profile, k, seed=None):
     component without touching the trapezoid identities.  Round-tripping
     through the inverse map is then exact, and smooth inputs come back to
     solver roundoff.
+
+    With a seed, profile may be a stack of profiles (nodes along the last
+    axis, one order per profile in k), each transformed independently.
     """
-    r = grid.nodes
-    rk = r**k
-    c = 2.0 * np.diff(rk * profile) / grid.spacings
-    n = r.size
+    rk = _powers(grid, k)
+    n = grid.n_points
     alt = np.where(np.arange(n - 1) % 2 == 0, 1.0, -1.0)
-    prefix = np.cumsum(alt * c)
+    c = np.diff(rk * profile)
+    c *= 2.0
+    c /= grid.spacings
+    c *= alt
     signs = -alt  # (-1)^j for j = 1 .. n-1
-    base = np.empty(n)
-    base[0] = 0.0
-    base[1:] = -signs * prefix
+    base = np.empty(c.shape[:-1] + (n,))
+    base[..., 0] = 0.0
+    np.cumsum(c, axis=-1, out=base[..., 1:])
+    base[..., 1:] *= -signs
     base /= rk
-    if seed is not None:
-        v0 = np.empty(n)
-        v0[0] = 1.0
-        v0[1:] = signs
-        return base + (seed * rk[0]) * (v0 / rk)
     v = np.empty(n)
     v[0] = 1.0
     v[1:] = signs
+    if seed is not None:
+        if seed:
+            base += (seed * rk[..., :1]) * (v / rk)
+        return base
     v *= rk[0] / rk
     d4b = np.diff(base, 4)
     d4v = np.diff(v, 4)
@@ -97,9 +114,12 @@ def _forward(grid, profile, k, seed=None):
 
 
 def _backward(grid, z, k, ell):
-    r = grid.nodes
-    rk = r**k
-    return ell / rk + grid.cumtrap_weighted(rk, z) / rk
+    rk = _powers(grid, k)
+    psi = grid.cumtrap_weighted(rk, z)
+    psi /= rk
+    if ell:
+        psi += ell / rk
+    return psi
 
 
 def z_transform(pair, grid, flip_sign=False, boundary_value=None):
@@ -142,19 +162,30 @@ def invert_z(z_state, grid, flip_sign=False):
     return StreamPair(psi, ell)
 
 
+def _check_order_k(grid, values, k, name):
+    values = np.asarray(values, dtype=float)
+    if np.any(np.asarray(k) < 2):
+        raise InvalidArgument(f"{name} serves modes k >= 2")
+    if values.shape != np.shape(k) + (grid.n_points,):
+        raise InvalidArgument(f"{name} takes one profile per order, nodes along the last axis")
+    return values
+
+
 def transform_order_k(grid, profile, k):
     """Nodal z_k = d(psi_k)/dr + k psi_k / r for a higher-mode profile with
-    psi_k(1) = d(psi_k)/dr(1) = 0 (the seed z_k(1) = 0 is exact)."""
-    if k < 2:
-        raise InvalidArgument("transform_order_k serves modes k >= 2")
-    return _forward(grid, np.asarray(profile, dtype=float), k, seed=0.0)
+    psi_k(1) = d(psi_k)/dr(1) = 0 (the seed z_k(1) = 0 is exact).
+
+    profile may stack one profile per row, with k one order per row."""
+    profile = _check_order_k(grid, profile, k, "transform_order_k")
+    return _forward(grid, profile, k, seed=0.0)
 
 
 def invert_order_k(grid, z_values, k):
-    """psi_k(r) = r^-k * int_1^r s^k z_k(s) ds with psi_k(1) = 0."""
-    if k < 2:
-        raise InvalidArgument("invert_order_k serves modes k >= 2")
-    return _backward(grid, np.asarray(z_values, dtype=float), k, 0.0)
+    """psi_k(r) = r^-k * int_1^r s^k z_k(s) ds with psi_k(1) = 0.
+
+    z_values may stack one profile per row, with k one order per row."""
+    z_values = _check_order_k(grid, z_values, k, "invert_order_k")
+    return _backward(grid, z_values, k, 0.0)
 
 
 @dataclass

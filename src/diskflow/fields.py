@@ -22,6 +22,7 @@ solver roundoff rather than to discretization error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -179,24 +180,72 @@ def decomp_axpy(ca, a, cb=0.0, b=None):
     )
 
 
-def _rfft_coeffs(samples):
-    """cos/sin coefficient arrays a_k, b_k (k = 0..n_half) from theta samples."""
-    n_theta = samples.shape[1]
-    F = np.fft.rfft(samples, axis=1)
-    a = 2.0 * F.real / n_theta
-    b = -2.0 * F.imag / n_theta
-    a[:, 0] *= 0.5
-    if n_theta % 2 == 0:
-        a[:, -1] *= 0.5
-    return a, b
+@functools.lru_cache(maxsize=None)
+def real_dft(n_theta, k_max):
+    """Real-DFT matrices between n_theta uniform angles and the coefficients
+    c = [a_0 .. a_K, b_0 .. b_K] of f = sum_k a_k cos(k t) + b_k sin(k t),
+    K = k_max < n_theta/2, or K = n_theta/2 with the Nyquist a_K halved.
+
+    Returns (S, A) acting on columns: samples = S @ c with S of shape
+    (n_theta, 2K+2), and c = A @ samples with A of shape (2K+2, n_theta),
+    which inverts S on every retained mode (b_0 is always 0).
+    """
+    k = np.arange(k_max + 1)
+    phase = 2.0 * math.pi * ((np.arange(n_theta)[:, None] * k) % n_theta) / n_theta
+    S = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
+    weight = np.full(2 * k_max + 2, 2.0 / n_theta)
+    weight[0] = 1.0 / n_theta
+    if 2 * k_max == n_theta:
+        weight[k_max] = 1.0 / n_theta
+    A = weight[:, None] * S.T
+    for a in (S, A):
+        a.flags.writeable = False
+    return S, A
 
 
-def _irfft_coeffs(a, b, n_theta):
-    F = 0.5 * n_theta * (a - 1j * b)
-    F[:, 0] = n_theta * a[:, 0]
-    if F.shape[1] == n_theta // 2 + 1 and n_theta % 2 == 0:
-        F[:, -1] = n_theta * a[:, -1]
-    return np.fft.irfft(F, n=n_theta, axis=1)
+def _coeffs(samples, k_max):
+    """cos/sin coefficient rows a_k, b_k (k = 0..k_max) of (n, n_theta)
+    theta samples, each of shape (k_max + 1, n)."""
+    c = real_dft(samples.shape[1], k_max)[1] @ samples.T
+    return c[: k_max + 1], c[k_max + 1:]
+
+
+def _stream_profiles(decomp):
+    """Stream profiles of modes 1..K as (channel, mode, node) with their
+    radial derivatives from one stacked ddr; channel 0 is the cos (psi)
+    channel, channel 1 the sin (phi) one."""
+    n = decomp.grid.n_points
+    K = decomp.k_max
+    prof = np.empty((2, K, n))
+    prof[0, 0] = decomp.psi
+    prof[1, 0] = decomp.phi
+    prof[:, 1:] = decomp.higher.transpose(1, 0, 2)
+    dprof = decomp.grid.ddr(prof.reshape(2 * K, n).T).T.reshape(2, K, n)
+    return prof, dprof
+
+
+def velocity_coeffs(decomp):
+    """cos/sin coefficients of v_r and v_theta straight from the profiles.
+
+    Returns a (2, 2K+2, n_points) array, K = decomp.k_max: field 0 is v_r,
+    field 1 is v_theta, each a coefficient column of real_dft per node.
+    """
+    K = decomp.k_max
+    k = np.arange(1, K + 1)[:, None]
+    r = decomp.grid.nodes
+    prof, dprof = _stream_profiles(decomp)
+    V = np.zeros((2, 2, K + 1, decomp.grid.n_points))  # (field, cos/sin, mode, node)
+    V[0, 0, 1:] = -k * prof[1] / r
+    V[0, 1, 1:] = k * prof[0] / r
+    V[1, 0, 0] = decomp.w
+    V[1, :, 1:] = dprof
+    return V.reshape(2, 2 * K + 2, -1)
+
+
+def synthesise(coeffs, n_theta):
+    """Samples on n_theta angles of a (fields, 2K+2, n_points) coefficient
+    stack, by one real-DFT matrix product: (fields, n_theta, n_points)."""
+    return np.matmul(real_dft(n_theta, coeffs.shape[1] // 2 - 1)[0], coeffs)
 
 
 def default_n_theta(k_max):
@@ -215,14 +264,14 @@ def divergence_residual(field, k_max=None):
     """
     grid = field.grid
     r = grid.nodes
-    ar, br = _rfft_coeffs(field.v_r)
-    at, bt = _rfft_coeffs(field.v_theta)
-    kmax_avail = ar.shape[1] - 1
+    kmax_avail = field.n_theta // 2
     K = kmax_avail if k_max is None else min(k_max, kmax_avail)
-    res = np.abs(grid.ddr(r * ar[:, 0]) / r).max()
+    ar, br = _coeffs(field.v_r, K)
+    at, bt = _coeffs(field.v_theta, K)
+    res = np.abs(grid.ddr(r * ar[0]) / r).max()
     for k in range(1, K + 1):
-        rc = grid.ddr(r * ar[:, k]) / r + (k / r) * bt[:, k]
-        rs = grid.ddr(r * br[:, k]) / r - (k / r) * at[:, k]
+        rc = grid.ddr(r * ar[k]) / r + (k / r) * bt[k]
+        rs = grid.ddr(r * br[k]) / r - (k / r) * at[k]
         res = max(res, np.abs(rc).max(), np.abs(rs).max())
     return res
 
@@ -248,17 +297,17 @@ def decompose(field, params, k_max, check_div=True, div_tol=1e-6):
                 f"divergence residual {res:.3e} exceeds tolerance for scale {scale:.3e}"
             )
     r = grid.nodes
-    ar, br = _rfft_coeffs(field.v_r)
-    at, _bt = _rfft_coeffs(field.v_theta)
-    w = at[:, 0]
-    psi = r * br[:, 1]
-    phi = -r * ar[:, 1]
+    ar, br = _coeffs(field.v_r, max(k_max, 1))
+    at, _bt = _coeffs(field.v_theta, max(k_max, 1))
+    w = at[0]
+    psi = r * br[1]
+    phi = -r * ar[1]
     n_high = max(k_max - 1, 0)
     higher = np.zeros((n_high, 2, grid.n_points))
     for j in range(n_high):
         k = j + 2
-        higher[j, 0] = r * br[:, k] / k
-        higher[j, 1] = -r * ar[:, k] / k
+        higher[j, 0] = r * br[k] / k
+        higher[j, 1] = -r * ar[k] / k
     rigid = RigidState(np.array([-phi[0], psi[0]]), float(w[0]))
     return ModeDecomposition(grid, w, psi, phi, higher, rigid)
 
@@ -277,28 +326,7 @@ def reconstruct(decomp, n_theta=None):
         raise InsufficientAngularResolution(
             f"n_theta = {n_theta} cannot hold k_max = {k_max}"
         )
-    n = grid.n_points
-    r = grid.nodes
-    nc = n_theta // 2 + 1
-    ar = np.zeros((n, nc))
-    br = np.zeros((n, nc))
-    at = np.zeros((n, nc))
-    bt = np.zeros((n, nc))
-    at[:, 0] = decomp.w
-    ar[:, 1] = -decomp.phi / r
-    br[:, 1] = decomp.psi / r
-    at[:, 1] = grid.ddr(decomp.psi)
-    bt[:, 1] = grid.ddr(decomp.phi)
-    for j in range(k_max - 1):
-        k = j + 2
-        psi_k = decomp.higher[j, 0]
-        phi_k = decomp.higher[j, 1]
-        ar[:, k] = -k * phi_k / r
-        br[:, k] = k * psi_k / r
-        at[:, k] = grid.ddr(psi_k)
-        bt[:, k] = grid.ddr(phi_k)
-    v_r = _irfft_coeffs(ar, br, n_theta)
-    v_theta = _irfft_coeffs(at, bt, n_theta)
+    v_r, v_theta = synthesise(velocity_coeffs(decomp), n_theta).transpose(0, 2, 1)
     return PolarField(grid, v_r, v_theta)
 
 
@@ -313,38 +341,37 @@ def extract_rigid(decomp):
 # Leray projection
 # ---------------------------------------------------------------------------
 
-_LERAY_CACHE: dict = {}
-
-
 def _banded_spd_solve(ab_factor, scale, rhs, ab_full):
-    """Solve with a cached Cholesky of the Jacobi-scaled banded matrix, plus
-    one step of iterative refinement for roundoff-level accuracy."""
-    x = scale * cho_solve_banded((ab_factor, False), scale * rhs)
+    """Solve for the rows of rhs with a cached Cholesky of the Jacobi-scaled
+    banded matrix, plus one step of iterative refinement for roundoff-level
+    accuracy."""
+    x = scale * cho_solve_banded((ab_factor, False), (scale * rhs).T).T
     # one refinement pass: r = rhs - N x with the banded matvec
     res = rhs - _banded_matvec(ab_full, x)
-    x = x + scale * cho_solve_banded((ab_factor, False), scale * res)
-    return x
+    return x + scale * cho_solve_banded((ab_factor, False), (scale * res).T).T
 
 
 def _banded_matvec(ab, x):
-    """y = N x for a symmetric banded matrix in upper `solveh_banded` form."""
+    """y = N x for a symmetric banded matrix in upper `solveh_banded` form,
+    applied to each row of x."""
     nband = ab.shape[0] - 1
     y = ab[-1] * x
     for d in range(1, nband + 1):
         up = ab[-1 - d]
-        y[: -d] += up[d:] * x[d:]
-        y[d:] += up[d:] * x[: -d]
+        y[:, :-d] += up[d:] * x[:, d:]
+        y[:, d:] += up[d:] * x[:, :-d]
     return y
 
 
 def _leray_operator(grid, coupling, k, drop_first):
-    """Normal matrix of the per-mode least squares:
+    """Normal matrix of the per-mode least squares, memoized on the grid:
     N = k^2 diag(w/r^2) + D^T diag(w) D (+ coupling * e0 e0^T),
-    optionally with the first row/column eliminated (higher modes)."""
-    key = (id(grid), float(coupling), int(k), bool(drop_first))
-    cached = _LERAY_CACHE.get(key)
-    if cached is not None and cached[0] is grid:
-        return cached[1:]
+    optionally with the first row/column eliminated (higher modes).
+    Returns (banded N, Cholesky factor of its Jacobi scaling, the scaling)."""
+    key = ("leray", float(coupling), int(k), bool(drop_first))
+    cached = grid.cache.get(key)
+    if cached is not None:
+        return cached
     from scipy import sparse
 
     D = grid.ddr_matrix()
@@ -363,9 +390,8 @@ def _leray_operator(grid, coupling, k, drop_first):
     bw = int(np.max(np.abs(N.row - N.col)))
     nn = N.shape[0]
     ab = np.zeros((bw + 1, nn))
-    for i, j, v in zip(N.row, N.col, N.data):
-        if j >= i:
-            ab[bw - (j - i), j] += v
+    upper = N.col >= N.row
+    np.add.at(ab, (bw - (N.col - N.row)[upper], N.col[upper]), N.data[upper])
     scale = 1.0 / np.sqrt(ab[-1])
     ab_scaled = ab * scale[None, :]
     for d in range(bw):
@@ -376,32 +402,8 @@ def _leray_operator(grid, coupling, k, drop_first):
         fac = cholesky_banded(ab_scaled, lower=False)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure("per-mode projection system is singular") from exc
-    _LERAY_CACHE[key] = (grid, ab, fac, scale)
-    return ab, fac, scale
-
-
-def _project_mode(grid, params, k, radial_coeff, tangential_coeff, ball_scalar, branch):
-    """Least-squares stream profile for one angular mode and channel.
-
-    branch "psi": embedding (k s/r, Ds, s(1)) matching (radial, tangential,
-    ball); branch "phi": embedding (-k s/r, Ds, -s(1)).
-    """
-    w = grid.quad_weights
-    r = grid.nodes
-    sgn = 1.0 if branch == "psi" else -1.0
-    coupling = params.m / math.pi if k == 1 else 0.0
-    drop_first = k >= 2
-    ab, fac, scale = _leray_operator(grid, coupling, k, drop_first)
-    D = grid.ddr_matrix()
-    rhs = sgn * k * (w / r) * radial_coeff + D.T @ (w * tangential_coeff)
-    if k == 1:
-        rhs = rhs + np.eye(1, grid.n_points, 0)[0] * (coupling * sgn * ball_scalar)
-    if drop_first:
-        rhs = rhs[1:]
-    x = _banded_spd_solve(fac, scale, rhs, ab)
-    if drop_first:
-        x = np.concatenate(([0.0], x))
-    return x
+    cached = grid.cache[key] = (ab, fac, scale)
+    return cached
 
 
 def project_leray(field, params, k_max=None, ball_ell=(0.0, 0.0), ball_omega=0.0):
@@ -415,30 +417,45 @@ def project_leray(field, params, k_max=None, ball_ell=(0.0, 0.0), ball_omega=0.0
     gradient) is discarded.  Idempotent, self-adjoint and the identity on
     already-admissible fields, all to solver roundoff.
 
+    Both channels of a mode share its normal matrix: the psi channel fits
+    the embedding (k s/r, Ds, s(1)) to (b_r, a_t, ell_y), the phi channel
+    (-k s/r, Ds, -s(1)) to (a_r, b_t, ell_x), and one two-column solve
+    serves both.
+
     ball_ell/ball_omega supply the disk data of the input field (zero for
     fields supported in the fluid, e.g. the projected convection term).
     """
     grid = field.grid
     if k_max is None:
-        k_max = max(1, min(field.n_theta // 2 - 1, field.n_theta // 2 - 1))
+        k_max = max(1, field.n_theta // 2 - 1)
     if field.n_theta < 2 * k_max + 2:
         raise InsufficientAngularResolution(
             f"n_theta = {field.n_theta} cannot resolve k_max = {k_max}"
         )
     ball_ell = np.asarray(ball_ell, dtype=float).reshape(2)
-    ar, br = _rfft_coeffs(field.v_r)
-    at, bt = _rfft_coeffs(field.v_theta)
-    w_prof = at[:, 0]
-    psi = _project_mode(grid, params, 1, br[:, 1], at[:, 1], ball_ell[1], "psi")
-    phi = _project_mode(grid, params, 1, ar[:, 1], bt[:, 1], ball_ell[0], "phi")
-    n_high = max(k_max - 1, 0)
-    higher = np.zeros((n_high, 2, grid.n_points))
-    for j in range(n_high):
-        k = j + 2
-        higher[j, 0] = _project_mode(grid, params, k, br[:, k], at[:, k], 0.0, "psi")
-        higher[j, 1] = _project_mode(grid, params, k, ar[:, k], bt[:, k], 0.0, "phi")
+    n = grid.n_points
+    w = grid.quad_weights
+    r = grid.nodes
+    ar, br = _coeffs(field.v_r, k_max)
+    at, bt = _coeffs(field.v_theta, k_max)
+    sgn = np.array([1.0, -1.0])[:, None, None]
+    k = np.arange(1, k_max + 1)[:, None]
+    # right-hand sides (channel, mode, node): channels psi, phi of modes 1..K
+    radial = np.stack([br[1:], ar[1:]])
+    tangential = np.stack([at[1:], bt[1:]]).reshape(2 * k_max, n)
+    D = grid.ddr_matrix()
+    rhs = sgn * k * (w / r) * radial
+    rhs += (D.T @ (w * tangential).T).T.reshape(2, k_max, n)
+    coupling = params.m / math.pi
+    rhs[:, 0, 0] += coupling * np.array([ball_ell[1], -ball_ell[0]])  # traces psi(1), -phi(1)
+    prof = np.zeros((2, k_max, n))
+    for j in range(k_max):
+        first = 0 if j == 0 else 1  # higher modes pin s(1) = 0
+        ab, fac, scale = _leray_operator(grid, coupling if j == 0 else 0.0, j + 1, first == 1)
+        prof[:, j, first:] = _banded_spd_solve(fac, scale, rhs[:, j, first:], ab)
+    psi, phi = prof[0, 0], prof[1, 0]
     rigid = RigidState(np.array([-phi[0], psi[0]]), float(ball_omega))
-    return ModeDecomposition(grid, w_prof, psi, phi, higher, rigid)
+    return ModeDecomposition(grid, at[0], psi, phi, prof[:, 1:].transpose(1, 0, 2), rigid)
 
 
 def kirchhoff_test_field(grid, direction):
@@ -523,17 +540,12 @@ def fluid_lp_norm(decomp, p, n_theta=None):
     grid = decomp.grid
     if p == 2:
         w = grid.quad_weights
-        r = grid.nodes
-        total = 2.0 * math.pi * float(np.sum(w * decomp.w**2))
-
-        def en(k, prof):
-            return float(np.sum(w * (grid.ddr(prof) ** 2 + (k * prof / r) ** 2)))
-
-        total += math.pi * (en(1, decomp.psi) + en(1, decomp.phi))
-        for j in range(decomp.k_max - 1):
-            k = j + 2
-            total += math.pi * (en(k, decomp.higher[j, 0]) + en(k, decomp.higher[j, 1]))
-        return math.sqrt(total)
+        k = np.arange(1, decomp.k_max + 1)[:, None]
+        prof, dprof = _stream_profiles(decomp)
+        prof *= k / grid.nodes
+        energy = (dprof * dprof + prof * prof) @ w
+        return math.sqrt(2.0 * math.pi * float(np.sum(w * decomp.w**2))
+                         + math.pi * float(np.sum(energy)))
     if n_theta is None:
         p_eff = 4 if np.isinf(p) else max(2, int(math.ceil(p)))
         n_theta = 16

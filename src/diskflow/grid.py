@@ -50,8 +50,9 @@ class RadialGrid:
     concentrates nodes at the disk boundary r = 1 where the dynamic boundary
     condition lives.
 
-    Immutable after construction (arrays are read-only); safe to share
-    between threads.
+    Immutable after construction (arrays are read-only).  Operators derived
+    from the mesh (factorizations, power tables) are memoized in `cache`, so
+    they live exactly as long as the grid does.
     """
 
     def __init__(self, nodes, r_max, stretch):
@@ -71,6 +72,7 @@ class RadialGrid:
         self.quad_weights = self._trapezoid_r_weights(nodes)
         self._ddr_bands = self._first_derivative_bands()
         self._ddr_csr = None
+        self.cache = {}
         for a in (self.nodes, self.spacings, self.face_r, self.quad_weights):
             a.flags.writeable = False
 
@@ -97,19 +99,21 @@ class RadialGrid:
         return lo, mid, hi, first, last
 
     def ddr(self, f):
-        """Second-order first derivative along axis 0; one-sided at both ends."""
-        f = np.asarray(f, dtype=float)
+        """Second-order first derivative along axis 0; one-sided at both ends.
+
+        A stack of profiles passed as profiles.T (nodes contiguous in memory)
+        is differentiated without copies; the result has the same layout.
+        """
+        g = np.moveaxis(np.asarray(f, dtype=float), 0, -1)
         lo, mid, hi, first, last = self._ddr_bands
-        out = np.empty_like(f)
-        if f.ndim == 1:
-            out[1:-1] = lo * f[:-2] + mid * f[1:-1] + hi * f[2:]
-            out[0] = first @ f[:3]
-            out[-1] = last @ f[-3:]
-        else:
-            out[1:-1] = lo[:, None] * f[:-2] + mid[:, None] * f[1:-1] + hi[:, None] * f[2:]
-            out[0] = np.tensordot(first, f[:3], axes=(0, 0))
-            out[-1] = np.tensordot(last, f[-3:], axes=(0, 0))
-        return out
+        out = np.empty_like(g)
+        inner = out[..., 1:-1]  # accumulated in place: few large temporaries
+        np.multiply(lo, g[..., :-2], out=inner)
+        inner += mid * g[..., 1:-1]
+        inner += hi * g[..., 2:]
+        out[..., 0] = g[..., :3] @ first
+        out[..., -1] = g[..., -3:] @ last
+        return np.moveaxis(out, -1, 0)
 
     def d2dr2(self, f):
         """Three-point second derivative along axis 0 (one-sided at the ends)."""
@@ -153,15 +157,17 @@ class RadialGrid:
         return float(w @ np.asarray(f)[:npts])
 
     def cumtrap_weighted(self, weight, values):
-        """Cumulative trapezoid of weight(s)*values from r=1 to each node.
+        """Cumulative trapezoid of weight(s)*values from r=1 to each node,
+        along the last axis (a stack of profiles integrates row by row).
 
         Both factors are sampled at nodes; the integrand weight*values is
         treated as the product of nodal samples (trapezoid on the product).
         """
         g = np.asarray(weight) * np.asarray(values)
-        seg = 0.5 * self.spacings * (g[:-1] + g[1:])
+        seg = g[..., :-1] + g[..., 1:]
+        seg *= 0.5 * self.spacings
         out = np.zeros_like(g)
-        np.cumsum(seg, out=out[1:])
+        np.cumsum(seg, axis=-1, out=out[..., 1:])
         return out
 
     def __repr__(self):

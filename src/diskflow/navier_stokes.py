@@ -22,13 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUp, InvalidArgument, NoContraction
+from .errors import BlowUp, InsufficientAngularResolution, InvalidArgument, NoContraction
 from .fields import (
     PolarField,
     decomp_axpy,
     inner_l2,
     project_leray,
     reconstruct,
+    synthesise,
+    velocity_coeffs,
     weighted_field_norm,
 )
 from .stokes import (
@@ -66,10 +68,12 @@ class NonlinearConfig:
     def __post_init__(self):
         if self.mode not in ("imex", "kato"):
             raise InvalidArgument(f"unknown mode {self.mode!r}")
-        if self.dealias and self.n_theta < 3 * self.k_max:
+        # Orszag's 2/3 rule: the product's top mode 2*k_max must alias
+        # beyond k_max, i.e. n_theta - 2*k_max > k_max
+        if self.dealias and self.n_theta < 3 * self.k_max + 1:
             raise InvalidArgument(
-                "dealiasing needs n_theta >= 3*k_max "
-                f"(got {self.n_theta} < {3 * self.k_max})"
+                "dealiasing needs n_theta >= 3*k_max + 1 "
+                f"(got {self.n_theta} < {3 * self.k_max + 1})"
             )
         if not self.dealias and self.n_theta < 2 * self.k_max + 2:
             raise InvalidArgument(
@@ -81,33 +85,58 @@ class NonlinearConfig:
 def nonlinear_term(decomp, params, config):
     """Projected convection term of the field: P[(ell - V).grad V].
 
-    Reconstructs physical samples, forms the advection with the polar
-    curvature terms, and projects back; the result is supported on modes up
-    to the truncation (a product of modes j and k only populates |j - k| and
-    j + k, so retained modes are alias-free under the configured headroom).
-    The term vanishes identically on the disk; the projection supplies the
-    rigid reaction.
+    Works from the angular coefficients: v_r, v_theta and their radial
+    derivatives come from the stream profiles (one stacked ddr for the
+    derivatives), angular derivatives are multiplications by k, and one
+    real-DFT matrix product samples the six factors of
+
+        N_r = A_r dV_r/dr + (A_t/r) (dV_r/dtheta - V_theta),
+        N_t = A_r dV_t/dr + (A_t/r) (dV_t/dtheta + V_r),        A = ell - V,
+
+    on the polar grid.  The products are projected back; the result is
+    supported on modes up to the truncation (a product of modes j and k only
+    populates |j - k| and j + k, so retained modes are alias-free under the
+    configured headroom).  The term vanishes identically on the disk; the
+    projection supplies the rigid reaction.
     """
     grid = decomp.grid
-    f = reconstruct(decomp, config.n_theta)
-    r = grid.nodes[:, None]
-    th = 2.0 * math.pi * np.arange(config.n_theta) / config.n_theta
+    n = grid.n_points
+    K = decomp.k_max
+    if config.n_theta < 2 * K + 2:
+        raise InsufficientAngularResolution(
+            f"n_theta = {config.n_theta} cannot hold k_max = {K}"
+        )
+    m = K + 1  # offset of the sin coefficients in the real_dft layout
+    k = np.arange(m)[:, None]
     ell = decomp.rigid.ell
-    a_r = (ell[0] * np.cos(th) + ell[1] * np.sin(th))[None, :] - f.v_r
-    a_t = (-ell[0] * np.sin(th) + ell[1] * np.cos(th))[None, :] - f.v_theta
-
-    def dtheta(x):
-        X = np.fft.rfft(x, axis=1)
-        kk = 1j * np.arange(X.shape[1])
-        return np.fft.irfft(X * kk[None, :], n=config.n_theta, axis=1)
-
-    dvr_dr = grid.ddr(f.v_r)
-    dvt_dr = grid.ddr(f.v_theta)
-    dvr_dt = dtheta(f.v_r)
-    dvt_dt = dtheta(f.v_theta)
-    n_r = a_r * dvr_dr + a_t * dvr_dt / r - a_t * f.v_theta / r
-    n_t = a_r * dvt_dr + a_t * dvt_dt / r + a_t * f.v_r / r
-    return project_leray(PolarField(grid, n_r, n_t), params, config.k_max)
+    V = velocity_coeffs(decomp)
+    dV = grid.ddr(V.reshape(-1, n).T).T.reshape(V.shape)
+    # the six factors in coefficient space: A_r, A_t/r, dV_r/dr, dV_t/dr,
+    # dV_r/dtheta - V_theta, dV_t/dtheta + V_r (ell enters mode 1 of A)
+    X = np.empty((6, 2 * m, n))
+    np.negative(V, out=X[:2])
+    X[0, 1] += ell[0]
+    X[0, m + 1] += ell[1]
+    X[1, 1] += ell[1]
+    X[1, m + 1] -= ell[0]
+    X[1] /= grid.nodes
+    X[2:4] = dV
+    # d/dtheta maps (a_k, b_k) to (k b_k, -k a_k)
+    X[4, :m] = k * V[0, m:] - V[1, :m]
+    X[4, m:] = -k * V[0, :m] - V[1, m:]
+    X[5, :m] = k * V[1, m:] + V[0, :m]
+    X[5, m:] = -k * V[1, :m] + V[0, m:]
+    del V, dV  # released before the sample planes exist: a lower peak
+    P = synthesise(X, config.n_theta)
+    del X
+    # products in place: P[2] becomes N_r and P[3] becomes N_t
+    P[2] *= P[0]
+    P[4] *= P[1]
+    P[2] += P[4]
+    P[3] *= P[0]
+    P[5] *= P[1]
+    P[3] += P[5]
+    return project_leray(PolarField(grid, P[2].T, P[3].T), params, config.k_max)
 
 
 def kinetic_energy(state):
@@ -164,6 +193,8 @@ def evolve_ns(state0, config, t_end, dt, observer=None, observe_times=None,
     evolution so observers can record the distance to the linear trajectory;
     observers are then called as observer(state, shadow_state).
     """
+    if t_end < state0.t:
+        raise InvalidArgument("t_end must be >= the current time")
     if config.cfl_check:
         _cfl_guard(state0, config, dt)
     n_steps = int(round((t_end - state0.t) / dt))

@@ -19,7 +19,6 @@ solver.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,37 +121,51 @@ def init_stokes(decomp, params, t=0.0):
     z_psi = ScalarModeState(grid, zp.y, 2.0 * float(rig.ell[1]), t)
     z_phi = ScalarModeState(grid, zf.y, 2.0 * float(rig.ell[0]), t)
     w_state = ScalarModeState(grid, decomp.w, float(rig.omega), t)
-    zh = []
-    for j in range(decomp.k_max - 1):
-        k = j + 2
-        zpk = transform_order_k(grid, decomp.higher[j, 0], k)
-        zfk = -transform_order_k(grid, decomp.higher[j, 1], k)
-        zh.append(
-            (ScalarModeState(grid, zpk, 0.0, t), ScalarModeState(grid, zfk, 0.0, t))
-        )
-    return StokesState(decomp, w_state, z_psi, z_phi, tuple(zh), t, params)
+    zh = tuple(
+        (ScalarModeState(grid, zpk, 0.0, t), ScalarModeState(grid, zfk, 0.0, t))
+        for zpk, zfk in _higher_z(decomp)
+    )
+    return StokesState(decomp, w_state, z_psi, z_phi, zh, t, params)
+
+
+def _higher_orders(n_high):
+    """Angular order of each column of a stacked (psi_k, phi_k) array."""
+    return np.repeat(np.arange(2, n_high + 2), 2)
+
+
+def _higher_z(decomp):
+    """(z for psi_k, z for phi_k) of every higher mode, one stacked transform."""
+    n_high = decomp.k_max - 1
+    if n_high == 0:
+        return np.zeros((0, 2, decomp.grid.n_points))
+    profiles = decomp.higher.reshape(2 * n_high, -1)
+    z = transform_order_k(decomp.grid, profiles, _higher_orders(n_high)).reshape(n_high, 2, -1)
+    z[:, 1] *= -1.0
+    return z
 
 
 def _rebuild_decomp(grid, w_state, z_psi, z_phi, z_higher):
     psi_pair = invert_z(z_psi, grid)
     phi_pair = invert_z(z_phi, grid)
-    n_high = len(z_higher)
-    higher = np.zeros((n_high, 2, grid.n_points))
-    for j, (zpk, zfk) in enumerate(z_higher):
-        k = j + 2
-        higher[j, 0] = invert_order_k(grid, zpk.y, k)
-        higher[j, 1] = -invert_order_k(grid, zfk.y, k)
+    higher = np.zeros((0, 2, grid.n_points))
+    if z_higher:
+        z = np.stack([zk.y for pair in z_higher for zk in pair])
+        higher = invert_order_k(grid, z, _higher_orders(len(z_higher))).reshape(len(z_higher), 2, -1)
+        higher[:, 1] *= -1.0
     rigid = RigidState(
         np.array([z_phi.ell / 2.0, z_psi.ell / 2.0]), float(w_state.ell)
     )
     return ModeDecomposition(grid, w_state.y, psi_pair.psi, -phi_pair.psi, higher, rigid)
 
 
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("DISKFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
+def _packed_system(grid, params, n_high, theta):
+    """Every distinct channel operator in one packed system: w, the mode-1
+    operator shared by z_psi and z_phi, then one operator per higher mode
+    shared by its two channels.  Returns the stepper and the (validated)
+    parameters of the w channel, which carry the common time scheme."""
+    ops = [subsystem_params(params, "w", theta=theta), subsystem_params(params, "z1", theta=theta)]
+    ops += [subsystem_params(params, "higher", k=k, theta=theta) for k in range(2, n_high + 2)]
+    return dynbc.packed_stepper(grid, ops), ops[0]
 
 
 def step_stokes(state, dt, sources=None, first_step=False, theta=0.5):
@@ -160,38 +173,23 @@ def step_stokes(state, dt, sources=None, first_step=False, theta=0.5):
 
     sources, if given, holds per-subsystem (fluid profile, boundary source)
     pairs as produced by decomp_to_sources; the subsystems remain exactly
-    decoupled inside the solve.
+    decoupled inside the one packed solve.
     """
     params = state.params
     grid = state.grid
-    src = sources or {}
-    jobs = []
-    jobs.append(("w", state.w_state, subsystem_params(params, "w", theta=theta), src.get("w")))
-    jobs.append(("zp", state.z_psi, subsystem_params(params, "z1", theta=theta), src.get("z_psi")))
-    jobs.append(("zf", state.z_phi, subsystem_params(params, "z1", theta=theta), src.get("z_phi")))
-    for j, (zpk, zfk) in enumerate(state.z_higher):
-        k = j + 2
-        p_k = subsystem_params(params, "higher", k=k, theta=theta)
-        hsrc = src.get("higher", ())
-        s_p = hsrc[j][0] if j < len(hsrc) else None
-        s_f = hsrc[j][1] if j < len(hsrc) else None
-        jobs.append((f"zp{k}", zpk, p_k, s_p))
-        jobs.append((f"zf{k}", zfk, p_k, s_f))
-
-    def run(job):
-        _, st, p, s = job
-        return dynbc.step(st, p, dt, source=s, first_step=first_step)
-
-    nthreads = _thread_count()
-    if nthreads > 1 and len(jobs) > 3:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-    w_state, z_psi, z_phi = results[0], results[1], results[2]
-    zh = tuple((results[3 + 2 * j], results[4 + 2 * j]) for j in range(len(state.z_higher)))
+    n_high = len(state.z_higher)
+    stepper, scheme = _packed_system(grid, params, n_high, theta)
+    channels = [(state.w_state,), (state.z_psi, state.z_phi), *state.z_higher]
+    packed_sources = None
+    if sources:
+        hsrc = tuple(sources.get("higher", ()))
+        hsrc += ((None, None),) * (n_high - len(hsrc))
+        packed_sources = [(sources.get("w"),), (sources.get("z_psi"), sources.get("z_phi")),
+                          *hsrc[:n_high]]
+    (w_state,), (z_psi, z_phi), *zh = stepper.step(
+        channels, dt, scheme.theta, scheme.startup_steps, packed_sources, first_step
+    )
+    zh = tuple(tuple(pair) for pair in zh)
     decomp = _rebuild_decomp(grid, w_state, z_psi, z_phi, zh)
     return StokesState(decomp, w_state, z_psi, z_phi, zh, state.t + dt, params)
 
@@ -269,19 +267,12 @@ def decomp_to_sources(decomp):
     rig = decomp.rigid
     zp = z_transform(StreamPair(decomp.psi, float(decomp.psi[0])), grid)
     zf = z_transform(StreamPair(decomp.phi, float(decomp.phi[0])), grid, flip_sign=True)
-    out = {
+    return {
         "w": (decomp.w, float(rig.omega)),
         "z_psi": (zp.y, 2.0 * float(rig.ell[1])),
         "z_phi": (zf.y, 2.0 * float(rig.ell[0])),
-        "higher": tuple(
-            (
-                (transform_order_k(grid, decomp.higher[j, 0], j + 2), 0.0),
-                (-transform_order_k(grid, decomp.higher[j, 1], j + 2), 0.0),
-            )
-            for j in range(decomp.k_max - 1)
-        ),
+        "higher": tuple(((zpk, 0.0), (zfk, 0.0)) for zpk, zfk in _higher_z(decomp)),
     }
-    return out
 
 
 def lamb_oseen_profile(grid, t, nu, M_vec):

@@ -1,11 +1,17 @@
 """Nonlinear driver: convection term structure, IMEX, successive approximation."""
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import random_decomposition
+from oracles import physical_space_convection
+
+from diskflow import dynbc
 from diskflow import navier_stokes as ns
 from diskflow import stokes
 from diskflow.dynbc import ScalarModeState
@@ -98,13 +104,52 @@ def test_nonlinear_term_brute_force_convolution(grid, params):
 
 def test_config_validation():
     with pytest.raises(InvalidArgument):
-        ns.NonlinearConfig(k_max=8, n_theta=16)  # needs 3*k_max with dealias
+        ns.NonlinearConfig(k_max=8, n_theta=16)  # needs 3*k_max + 1 with dealias
     with pytest.raises(InvalidArgument):
         ns.NonlinearConfig(k_max=8, n_theta=16, dealias=False)
     with pytest.raises(InvalidArgument):
         ns.NonlinearConfig(mode="spectral")
-    cfg = ns.NonlinearConfig(k_max=4, n_theta=12)
-    assert cfg.n_theta == 12
+    with pytest.raises(InvalidArgument):
+        ns.NonlinearConfig(k_max=4, n_theta=12)  # mode 8 aliases onto mode 4
+    cfg = ns.NonlinearConfig(k_max=4, n_theta=13)
+    assert cfg.n_theta == 13
+
+
+def _max_abs(d):
+    return max(np.max(np.abs(a), initial=0.0) for a in (d.w, d.psi, d.phi, d.higher, d.rigid.ell))
+
+
+def _rel_gap(a, b):
+    return _max_abs(decomp_axpy(1.0, a, -1.0, b)) / _max_abs(b)
+
+
+def test_dealias_guard_random_field(params):
+    # the smallest accepted resolution n_theta = 3*k_max + 1 reproduces a
+    # finely resolved reference; one angle fewer (only allowed without the
+    # dealias guard) aliases the product's mode 8 onto mode 4
+    grid = build_grid(256, 20.0, 1.5)
+    d = random_decomposition(grid, np.random.default_rng(7), k_max=4)
+    ref = ns.nonlinear_term(d, params, ns.NonlinearConfig(k_max=4, n_theta=64))
+    ok = ns.nonlinear_term(d, params, ns.NonlinearConfig(k_max=4, n_theta=13))
+    aliased = ns.nonlinear_term(d, params, ns.NonlinearConfig(k_max=4, n_theta=12, dealias=False))
+    assert _rel_gap(ok, ref) < 1e-12
+    assert _rel_gap(aliased, ref) > 1e-3
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 4, 5])
+def test_nonlinear_term_matches_physical_space_oracle(params, k_max):
+    # coefficient-space convection against FFT sampling, FFT angular
+    # derivatives, radial derivatives of the planes and per-mode projection
+    grid = build_grid(256, 20.0, 1.5)
+    rng = np.random.default_rng(100 + k_max)
+    d = random_decomposition(grid, rng, k_max=k_max)
+    d = ModeDecomposition(grid, d.w, d.psi, d.phi, d.higher,
+                          RigidState(rng.standard_normal(2), d.rigid.omega))
+    for n_theta in sorted({3 * k_max + 1, 16, 32}):
+        cfg = ns.NonlinearConfig(k_max=k_max, n_theta=n_theta)
+        new = ns.nonlinear_term(d, params, cfg)
+        ref = physical_space_convection(d, params, k_max, n_theta)
+        assert _rel_gap(new, ref) <= 1e-12, n_theta
 
 
 def test_degeneration_to_stokes(grid, params):
@@ -244,11 +289,25 @@ def test_improved_decay_q2_no_gain(grid, params):
     assert abs(base_fit.exponent - diff_fit.exponent) <= 0.15
 
 
-def test_thread_env_equivalence(grid, params, monkeypatch):
-    d = mode1_bump(grid, 1.0)
-    st = stokes.init_stokes(d, params)
-    serial = stokes.evolve_stokes(st, 1.0, 0.05)
-    monkeypatch.setenv("DISKFLOW_THREADS", "4")
-    threaded = stokes.evolve_stokes(st, 1.0, 0.05)
-    assert np.array_equal(serial.decomp.phi, threaded.decomp.phi)
-    assert np.array_equal(serial.z_phi.y, threaded.z_phi.y)
+def test_evolve_ns_rejects_past_end(grid, params):
+    cfg = ns.NonlinearConfig(k_max=2, n_theta=16)
+    st = stokes.init_stokes(mode1_bump(grid, 1e-2), params, t=1.0)
+    with pytest.raises(InvalidArgument):
+        ns.evolve_ns(st, cfg, 0.5, 0.05)
+
+
+def test_dropped_grid_is_collected(params):
+    # factorizations and other derived operators live on the grid, so a grid
+    # nobody references any more is freed together with them
+    grid = build_grid(64, 10.0, 1.0)
+    ref = weakref.ref(grid)
+    cfg = ns.NonlinearConfig(k_max=2, n_theta=16)
+    st = stokes.init_stokes(mode1_bump(grid, 1e-2), params)
+    st, nl = ns.step_ns(st, cfg, 0.05, first_step=True)
+    st, nl = ns.step_ns(st, cfg, 0.05, nl)
+    dynbc.step(st.w_state, stokes.subsystem_params(params, "w"), 0.05)
+    assert any(key[0] == "leray" for key in grid.cache)
+    assert any(key[0] == "dynbc" for key in grid.cache)
+    del grid, st, nl
+    gc.collect()
+    assert ref() is None

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_decomposition
+from oracles import dense_channel_step
 
 from diskflow import stokes
 from diskflow.elliptic import StreamPair, z_transform
@@ -330,3 +331,41 @@ def test_mode1_mass_invariance_through_evolution(translating_run):
     m0 = phi_series[0]
     drift = np.max(np.abs(phi_series - m0)) / abs(m0)
     assert drift < 1e-6
+
+
+def test_packed_step_matches_dense_channels():
+    # one packed banded solve for every channel against a dense solve per
+    # channel, over random grids, step parameters, startup and sources
+    rng = np.random.default_rng(2024)
+    for _ in range(16):
+        grid = build_grid(int(rng.integers(16, 120)), float(rng.uniform(2.5, 40.0)),
+                          float(rng.uniform(0.0, 2.5)))
+        params = PhysicalParams(nu=float(rng.uniform(0.2, 3.0)), m=float(rng.uniform(0.5, 10.0)))
+        k_max = int(rng.integers(1, 6))
+        dt = float(rng.uniform(1e-3, 0.5))
+        theta = float(rng.uniform(0.0, 1.0))
+        first_step = bool(rng.integers(2))
+        state = stokes.init_stokes(random_decomposition(grid, rng, k_max), params)
+        sources = None
+        if rng.integers(2):
+            sources = stokes.decomp_to_sources(random_decomposition(grid, rng, k_max))
+        new = stokes.step_stokes(state, dt, sources=sources, first_step=first_step, theta=theta)
+        src = sources or {}
+        hsrc = src.get("higher", ((None, None),) * (k_max - 1))
+        z1 = stokes.subsystem_params(params, "z1", theta=theta)
+        channels = [
+            (state.w_state, new.w_state, stokes.subsystem_params(params, "w", theta=theta),
+             src.get("w")),
+            (state.z_psi, new.z_psi, z1, src.get("z_psi")),
+            (state.z_phi, new.z_phi, z1, src.get("z_phi")),
+        ]
+        for j, (zpk, zfk) in enumerate(state.z_higher):
+            p_k = stokes.subsystem_params(params, "higher", k=j + 2, theta=theta)
+            channels.append((zpk, new.z_higher[j][0], p_k, hsrc[j][0]))
+            channels.append((zfk, new.z_higher[j][1], p_k, hsrc[j][1]))
+        for before, after, p, s in channels:
+            y, ell = dense_channel_step(before, p, dt, source=s, first_step=first_step)
+            scale = max(np.max(np.abs(y)), abs(ell), 1e-300)
+            assert np.max(np.abs(after.y - y)) <= 1e-12 * scale
+            assert abs(after.ell - ell) <= 1e-12 * scale
+            assert after.t == before.t + dt
