@@ -259,10 +259,7 @@ class PackedStepper:
 def packed_stepper(grid, ops):
     """The PackedStepper of operators ops on grid, memoized on the grid."""
     key = ("dynbc", tuple((p.k, p.alpha_tilde, p.nu, p.variant) for p in ops))
-    st = grid.cache.get(key)
-    if st is None:
-        st = grid.cache[key] = PackedStepper(grid, ops)
-    return st
+    return grid.memo(key, PackedStepper, grid, ops)
 
 
 def step(state, params, dt, source=None, first_step=False):

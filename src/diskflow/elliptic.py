@@ -56,13 +56,13 @@ class StreamPair:
 def _powers(grid, k):
     """r^k at the nodes, memoized on the grid; an array of orders gives one
     row per order."""
-    key = ("r**k", np.ndim(k), tuple(int(j) for j in np.ravel(k)))
-    rk = grid.cache.get(key)
-    if rk is None:
-        r = grid.nodes
-        rk = r ** int(k) if np.ndim(k) == 0 else np.stack([r ** int(j) for j in k])
-        rk.flags.writeable = False
-        grid.cache[key] = rk
+    return grid.memo(("r**k", np.ndim(k), tuple(int(j) for j in np.ravel(k))),
+                     _power_table, grid.nodes, k)
+
+
+def _power_table(r, k):
+    rk = r ** int(k) if np.ndim(k) == 0 else np.stack([r ** int(j) for j in k])
+    rk.flags.writeable = False
     return rk
 
 

@@ -368,10 +368,11 @@ def _leray_operator(grid, coupling, k, drop_first):
     N = k^2 diag(w/r^2) + D^T diag(w) D (+ coupling * e0 e0^T),
     optionally with the first row/column eliminated (higher modes).
     Returns (banded N, Cholesky factor of its Jacobi scaling, the scaling)."""
-    key = ("leray", float(coupling), int(k), bool(drop_first))
-    cached = grid.cache.get(key)
-    if cached is not None:
-        return cached
+    return grid.memo(("leray", float(coupling), int(k), bool(drop_first)),
+                     _build_leray_operator, grid, coupling, k, drop_first)
+
+
+def _build_leray_operator(grid, coupling, k, drop_first):
     from scipy import sparse
 
     D = grid.ddr_matrix()
@@ -402,8 +403,7 @@ def _leray_operator(grid, coupling, k, drop_first):
         fac = cholesky_banded(ab_scaled, lower=False)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure("per-mode projection system is singular") from exc
-    cached = grid.cache[key] = (ab, fac, scale)
-    return cached
+    return ab, fac, scale
 
 
 def project_leray(field, params, k_max=None, ball_ell=(0.0, 0.0), ball_omega=0.0):

@@ -51,8 +51,8 @@ class RadialGrid:
     condition lives.
 
     Immutable after construction (arrays are read-only).  Operators derived
-    from the mesh (factorizations, power tables) are memoized in `cache`, so
-    they live exactly as long as the grid does.
+    from the mesh (factorizations, power tables) are memoized in `cache`
+    through `memo`, so they live exactly as long as the grid does.
     """
 
     def __init__(self, nodes, r_max, stretch):
@@ -71,7 +71,6 @@ class RadialGrid:
         self.face_r = 0.5 * (nodes[:-1] + nodes[1:])
         self.quad_weights = self._trapezoid_r_weights(nodes)
         self._ddr_bands = self._first_derivative_bands()
-        self._ddr_csr = None
         self.cache = {}
         for a in (self.nodes, self.spacings, self.face_r, self.quad_weights):
             a.flags.writeable = False
@@ -131,23 +130,31 @@ class RadialGrid:
         out[-1] = fd_weights(r[-4:], r[-1], 2) @ f[-4:]
         return out
 
+    def memo(self, key, build, *args):
+        """The value cached under key, made by build(*args) on first use."""
+        value = self.cache.get(key)
+        if value is None:
+            value = self.cache[key] = build(*args)
+        return value
+
     def ddr_matrix(self):
         """The first-derivative stencil as a sparse matrix (rows = nodes);
         built once and cached (the grid is immutable)."""
-        if self._ddr_csr is None:
-            from scipy import sparse
+        return self.memo(("ddr_matrix",), self._build_ddr_matrix)
 
-            lo, mid, hi, first, last = self._ddr_bands
-            n = self.n_points
-            M = sparse.lil_matrix((n, n))
-            idx = np.arange(1, n - 1)
-            M[idx, idx - 1] = lo
-            M[idx, idx] = mid
-            M[idx, idx + 1] = hi
-            M[0, :3] = first
-            M[n - 1, n - 3:] = last
-            self._ddr_csr = M.tocsr()
-        return self._ddr_csr
+    def _build_ddr_matrix(self):
+        from scipy import sparse
+
+        lo, mid, hi, first, last = self._ddr_bands
+        n = self.n_points
+        M = sparse.lil_matrix((n, n))
+        idx = np.arange(1, n - 1)
+        M[idx, idx - 1] = lo
+        M[idx, idx] = mid
+        M[idx, idx + 1] = hi
+        M[0, :3] = first
+        M[n - 1, n - 3:] = last
+        return M.tocsr()
 
     def boundary_derivative(self, f, order=2, npts=None):
         """One-sided derivative of f at r = 1 of the requested accuracy order."""
