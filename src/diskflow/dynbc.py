@@ -194,7 +194,9 @@ class PackedStepper:
             rhs += trace_fix
         if source is not None:
             rhs += dt * source
-        return cho_solve_banded((fac, False), rhs.T).T
+        # the factor is finite by construction and step() rejects a
+        # non-finite result, so scipy's input scan is skipped
+        return cho_solve_banded((fac, False), rhs.T, check_finite=False).T
 
     def step(self, channels, dt, theta, startup_steps, sources=None, first_step=False):
         """Advance every channel by one step of length dt.

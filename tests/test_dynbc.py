@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from diskflow import dynbc
 from diskflow.dynbc import DynBCParams, ScalarModeState
-from diskflow.errors import InvalidArgument, NonpositiveTime, UnsupportedVariant
+from diskflow.errors import InvalidArgument, NonpositiveTime, SolverFailure, UnsupportedVariant
 from diskflow.grid import build_grid
 
 
@@ -290,6 +290,15 @@ def test_invalid_steps(grid):
         dynbc.step(s, params, -0.1)
     with pytest.raises(InvalidArgument):
         dynbc.evolve(s, params, 1.0, 0.3)  # not an integer number of steps
+
+
+def test_nonfinite_source_rejected(grid):
+    params = kick_params()
+    s = ScalarModeState(grid, np.zeros(grid.n_points), 1.0, 0.0)
+    fluid = np.zeros(grid.n_points)
+    fluid[grid.n_points // 2] = np.nan
+    with pytest.raises(SolverFailure):
+        dynbc.step(s, params, 0.1, source=(fluid, 0.0))
 
 
 def test_params_validation():
