@@ -248,6 +248,20 @@ def synthesise(coeffs, n_theta):
     return np.matmul(real_dft(n_theta, coeffs.shape[1] // 2 - 1)[0], coeffs)
 
 
+# Radial nodes per synthesis block.  A block of the six convection factors
+# at n_theta = 16 is 196 kB and stays in cache; 1024 nodes already fault
+# pages back in on every call (see the sweep recorded in CHANGES.md).
+BLOCK = 256
+
+
+def _sample_blocks(coeffs, n_theta):
+    """Yield (first node, samples) for consecutive blocks of BLOCK radial
+    nodes, samples being synthesise() of that slice of the stack, so no
+    full (fields, n_theta, n_points) plane is ever allocated."""
+    for lo in range(0, coeffs.shape[-1], BLOCK):
+        yield lo, synthesise(coeffs[..., lo:lo + BLOCK], n_theta)
+
+
 def default_n_theta(k_max):
     """Smallest power of two giving the dealiasing headroom 4*k_max + 4."""
     n = 16
@@ -512,6 +526,21 @@ def inner_l2(a, b, params):
     return total
 
 
+@functools.lru_cache(maxsize=None)
+def _disk_rule():
+    """Product rule on the unit disk: 32 Gauss-Legendre radii on (0, 1)
+    with their weights times rho, and cos of 128 uniform angles."""
+    from numpy.polynomial.legendre import leggauss
+
+    xg, wg = leggauss(32)
+    rho = 0.5 * (xg + 1.0)
+    wr = 0.5 * wg
+    cos_th = np.cos(np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False))
+    for a in (rho, wr, cos_th):
+        a.flags.writeable = False
+    return rho, wr, cos_th
+
+
 def _ball_lp(ell, omega, p):
     """int over the unit disk of |ell + omega x^perp|^p (unweighted)."""
     ell = np.asarray(ell, dtype=float)
@@ -520,23 +549,22 @@ def _ball_lp(ell, omega, p):
         return el + abs(omega)
     if p == 2:
         return math.pi * el * el + 0.5 * math.pi * omega * omega
-    from numpy.polynomial.legendre import leggauss
-
-    xg, wg = leggauss(32)
-    rho = 0.5 * (xg + 1.0)
-    wr = 0.5 * wg
-    th = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
+    rho, wr, cos_th = _disk_rule()
     sq = (
         el * el
         + (omega * rho[:, None]) ** 2
-        + 2.0 * omega * el * rho[:, None] * np.cos(th)[None, :]
+        + 2.0 * omega * el * rho[:, None] * cos_th[None, :]
     )
     vals = np.abs(sq) ** (p / 2.0) * rho[:, None]
-    return float(np.sum(vals @ (np.full(th.size, 2.0 * math.pi / th.size)) * wr))
+    return float(np.sum(vals @ (np.full(cos_th.size, 2.0 * math.pi / cos_th.size)) * wr))
 
 
 def fluid_lp_norm(decomp, p, n_theta=None):
-    """L^p norm of the reconstructed field over the fluid annulus only."""
+    """L^p norm of the reconstructed field over the fluid annulus only.
+
+    For p != 2 the speed is sampled block by block (_sample_blocks), and
+    only |V|^2 is formed: |V|^p is its (p/2)-th power and the max norm the
+    square root of its maximum."""
     grid = decomp.grid
     if p == 2:
         w = grid.quad_weights
@@ -552,12 +580,24 @@ def fluid_lp_norm(decomp, p, n_theta=None):
         while n_theta < p_eff * (decomp.k_max + 1) + 4:
             n_theta *= 2
         n_theta = min(n_theta, 512)
-    f = reconstruct(decomp, n_theta)
-    speed = np.hypot(f.v_r, f.v_theta)
-    if np.isinf(p):
-        return float(speed.max())
+    elif n_theta < 2 * decomp.k_max + 2:
+        raise InsufficientAngularResolution(
+            f"n_theta = {n_theta} cannot hold k_max = {decomp.k_max}"
+        )
     w = grid.quad_weights
-    integ = float(np.sum(w @ speed**p) * (2.0 * math.pi / n_theta))
+    acc = np.zeros(n_theta)
+    peak = 0.0
+    for lo, v in _sample_blocks(velocity_coeffs(decomp), n_theta):
+        np.square(v, out=v)
+        sq = v[0]
+        sq += v[1]
+        if np.isinf(p):
+            peak = np.maximum(peak, sq.max())  # keeps a NaN
+        else:
+            acc += sq ** (p / 2.0) @ w[lo:lo + BLOCK]
+    if np.isinf(p):
+        return math.sqrt(peak)
+    integ = float(np.sum(acc) * (2.0 * math.pi / n_theta))
     return integ ** (1.0 / p)
 
 
@@ -650,16 +690,52 @@ def save_field_file(path, decomp):
             fh.write(", ".join(f"{v:.17e}" for v in row) + "\n")
 
 
+def _finite_floats(toks, line_no):
+    """The tokens of one field-file line as finite floats."""
+    try:
+        vals = [float(tok) for tok in toks]
+    except ValueError as exc:
+        raise InvalidArgument(f"field file line {line_no}: {exc}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise InvalidArgument(f"field file line {line_no} holds a non-finite value")
+    return vals
+
+
 def load_field_file(path, grid=None):
     """Inverse of save_field_file.  With grid=None the mesh is rebuilt from
-    the radius column (stretch is then only a label)."""
+    the radius column (stretch is then only a label).
+
+    Raises InvalidArgument on a malformed file: a first line that is not
+    `# ell_x ell_y omega`, a header without the r, W, Psi, Phi columns or
+    with an unpaired psi_k/phi_k, a row whose width differs from the
+    header's, no rows, or a value that is not a finite number."""
     with open(path) as fh:
         first = fh.readline()
-        if not first.startswith("#"):
-            raise InvalidArgument("field file must start with '# ell_x ell_y omega'")
-        ex, ey, om = (float(tok) for tok in first[1:].split())
         header = [c.strip() for c in fh.readline().split(",")]
-        rows = [[float(tok) for tok in line.split(",")] for line in fh if line.strip()]
+        lines = [(i, line) for i, line in enumerate(fh, start=3) if line.strip()]
+    toks = first[1:].split() if first.startswith("#") else []
+    if len(toks) != 3:
+        raise InvalidArgument("field file must start with '# ell_x ell_y omega'")
+    k_max = 1
+    while f"psi_{k_max + 1}" in header or f"phi_{k_max + 1}" in header:
+        k_max += 1
+    required = ["r", "W", "Psi", "Phi"]
+    for k in range(2, k_max + 1):
+        required += [f"psi_{k}", f"phi_{k}"]
+    missing = [name for name in required if name not in header]
+    if missing:
+        raise InvalidArgument(f"field file lacks the column(s) {', '.join(missing)}")
+    if not lines:
+        raise InvalidArgument("field file has no data rows")
+    ex, ey, om = _finite_floats(toks, 1)
+    rows = []
+    for i, line in lines:
+        toks = line.split(",")
+        if len(toks) != len(header):
+            raise InvalidArgument(
+                f"field file line {i} has {len(toks)} values for {len(header)} columns"
+            )
+        rows.append(_finite_floats(toks, i))
     data = np.asarray(rows).T
     cols = {name: data[i] for i, name in enumerate(header)}
     nodes = cols["r"]
@@ -667,9 +743,6 @@ def load_field_file(path, grid=None):
         grid = RadialGrid(nodes, nodes[-1], 0.0)
     elif grid.n_points != nodes.size or not np.allclose(grid.nodes, nodes, rtol=0, atol=1e-12):
         raise GridMismatch("field file nodes do not match the supplied grid")
-    k_max = 1
-    while f"psi_{k_max + 1}" in cols:
-        k_max += 1
     higher = np.zeros((k_max - 1, 2, grid.n_points))
     for j in range(k_max - 1):
         higher[j, 0] = cols[f"psi_{j + 2}"]

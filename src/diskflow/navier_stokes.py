@@ -25,11 +25,11 @@ import numpy as np
 from .errors import BlowUp, InsufficientAngularResolution, InvalidArgument, NoContraction
 from .fields import (
     PolarField,
+    _sample_blocks,
     decomp_axpy,
+    fluid_lp_norm,
     inner_l2,
     project_leray,
-    reconstruct,
-    synthesise,
     velocity_coeffs,
     weighted_field_norm,
 )
@@ -87,8 +87,9 @@ def nonlinear_term(decomp, params, config):
 
     Works from the angular coefficients: v_r, v_theta and their radial
     derivatives come from the stream profiles (one stacked ddr for the
-    derivatives), angular derivatives are multiplications by k, and one
-    real-DFT matrix product samples the six factors of
+    derivatives), angular derivatives are multiplications by k, and a
+    real-DFT matrix product per block of radial nodes samples the six
+    factors of
 
         N_r = A_r dV_r/dr + (A_t/r) (dV_r/dtheta - V_theta),
         N_t = A_r dV_t/dr + (A_t/r) (dV_t/dtheta + V_r),        A = ell - V,
@@ -126,17 +127,20 @@ def nonlinear_term(decomp, params, config):
     X[4, m:] = -k * V[0, :m] - V[1, m:]
     X[5, :m] = k * V[1, m:] + V[0, :m]
     X[5, m:] = -k * V[1, :m] + V[0, m:]
-    del V, dV  # released before the sample planes exist: a lower peak
-    P = synthesise(X, config.n_theta)
+    del V, dV  # released before the products exist: a lower peak
+    # a fresh full-size sample plane per call would fault its pages back in
+    # every step; blocks stay cache-sized, only the products span the grid
+    N = np.empty((2, config.n_theta, n))
+    for lo, P in _sample_blocks(X, config.n_theta):
+        out = N[..., lo:lo + P.shape[-1]]
+        np.multiply(P[2], P[0], out=out[0])
+        P[4] *= P[1]
+        out[0] += P[4]
+        np.multiply(P[3], P[0], out=out[1])
+        P[5] *= P[1]
+        out[1] += P[5]
     del X
-    # products in place: P[2] becomes N_r and P[3] becomes N_t
-    P[2] *= P[0]
-    P[4] *= P[1]
-    P[2] += P[4]
-    P[3] *= P[0]
-    P[5] *= P[1]
-    P[3] += P[5]
-    return project_leray(PolarField(grid, P[2].T, P[3].T), params, config.k_max)
+    return project_leray(PolarField(grid, N[0].T, N[1].T), params, config.k_max)
 
 
 def kinetic_energy(state):
@@ -146,8 +150,7 @@ def kinetic_energy(state):
 
 
 def _cfl_guard(state, config, dt):
-    f = reconstruct(state.decomp, config.n_theta)
-    vmax = float(np.max(np.hypot(f.v_r, f.v_theta)))
+    vmax = fluid_lp_norm(state.decomp, np.inf, config.n_theta)
     hmin = float(state.grid.spacings.min())
     if vmax > 0 and dt > 0.5 * hmin / vmax:
         raise InvalidArgument(
@@ -268,6 +271,8 @@ def kato_solve(state0, config, t_end, dt):
     """
     if config.mode != "kato":
         raise InvalidArgument("kato_solve drives the kato mode")
+    if t_end < state0.t:
+        raise InvalidArgument("t_end must be >= the current time")
     params = state0.params
     n_steps = int(round((t_end - state0.t) / dt))
     if abs(state0.t + n_steps * dt - t_end) > 1e-9 * max(dt, 1.0):

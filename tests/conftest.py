@@ -5,6 +5,7 @@ session and their observables shared between tests.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,19 @@ def polar_inner(a, b, params, ball_a=(np.zeros(2), 0.0), ball_b=(np.zeros(2), 0.
         math.pi * float(np.dot(ea, eb)) + 0.5 * math.pi * oa * ob
     )
     return fluid + ball
+
+
+def traced_peak(call):
+    """Peak bytes traced during call() above what was live before it; a
+    first, untraced call fills the caches on the grid."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def fit_exponent(ts, vals, window=(10.0, 100.0)):

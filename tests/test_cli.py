@@ -219,3 +219,24 @@ def test_ns_experiment(tmp_path):
     series = (out / "ns_series.txt").read_text().splitlines()
     header = [ln for ln in series if not ln.startswith("#")][0]
     assert header == "t, ell_x, ell_y, omega, norm_L2, diff_norm_L2, diff_norm_L4"
+
+
+def test_run_rejects_malformed_field_file(tmp_path, capsys):
+    from diskflow.fields import save_field_file
+    from diskflow.presets import build_setup, get_preset
+
+    setup = build_setup(get_preset("translating-disk"), {"grid": {"n_points": 256}})
+    field = tmp_path / "field.txt"
+    save_field_file(field, setup["decomp0"])
+    lines = field.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0]  # a row one value short
+    field.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text(
+        "[experiment]\nkind = evolve-stokes\n"
+        f"[initial_data]\npreset = translating-disk\nfile = {field}\n"
+        f"[grid]\nn_points = 256\n[time]\nt_end = 1\n[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    assert cli.main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: field file line 6")

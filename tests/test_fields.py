@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import polar_inner, random_decomposition, random_polar_field
+from conftest import polar_inner, random_decomposition, random_polar_field, traced_peak
 
 from diskflow import fields as F
 from diskflow.errors import (
@@ -329,6 +329,35 @@ def test_weighted_norm_equals_plain_lp_when_m_pi(grid):
     assert abs(val - (fluid**p + ball) ** (1.0 / p)) < 1e-12 * val
 
 
+BLOCK_EDGES = (F.BLOCK - 1, F.BLOCK + 1, 2 * F.BLOCK + 3)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+@pytest.mark.parametrize("p", [1.0, 3.0, 4.0, 8.0, math.inf])
+def test_fluid_lp_norm_block_edges(n, p):
+    # the blocked |V|^p sum against full reconstructed planes, on grids
+    # whose last synthesis block is short by one, long by one, or partial
+    g = build_grid(n, 20.0, 1.5)
+    d = random_decomposition(g, np.random.default_rng(n), k_max=4)
+    for n_theta in (16, 64):
+        f = F.reconstruct(d, n_theta)
+        speed = np.hypot(f.v_r, f.v_theta)
+        if math.isinf(p):
+            ref = float(speed.max())
+        else:
+            ref = (float(np.sum(g.quad_weights @ speed**p)) * 2.0 * math.pi / n_theta) ** (1.0 / p)
+        assert abs(F.fluid_lp_norm(d, p, n_theta) - ref) <= 1e-13 * ref, n_theta
+
+
+@pytest.mark.parametrize("p", [4.0, math.inf, 8.0])
+def test_weighted_norm_memory_peak(params, p):
+    # full (2, n_theta, n) planes at n = 4096 take 2 MB at n_theta = 32 and
+    # 4 MB at 64; the blocked sum stays below 2 MB for every p
+    g = build_grid(4096, 300.0, 1.0)
+    d = random_decomposition(g, np.random.default_rng(3), k_max=4)
+    assert traced_peak(lambda: F.weighted_field_norm(g, d, p, params)) <= 2 * 2**20
+
+
 def test_field_file_roundtrip(tmp_path, grid):
     rng = np.random.default_rng(12)
     d = random_decomposition(grid, rng, k_max=3)
@@ -353,3 +382,43 @@ def test_decomp_axpy_grid_mismatch(grid):
     b = F.zero_decomposition(other, 2)
     with pytest.raises(GridMismatch):
         F.decomp_axpy(1.0, a, 1.0, b)
+
+
+def _edit(i, change):
+    """Field-file lines with line i replaced by change(line i)."""
+    return lambda lines: lines[:i] + [change(lines[i])] + lines[i + 1:]
+
+
+def _set_value(row, col, tok):
+    vals = row.split(", ")
+    vals[col] = tok
+    return ", ".join(vals)
+
+
+MALFORMED_FIELD_FILES = {
+    "first-line-two-numbers": _edit(0, lambda s: "# 0.0 1.0"),
+    "first-line-no-hash": _edit(0, lambda s: s[1:]),
+    "first-line-word": _edit(0, lambda s: "# 0.0 one 2.0"),
+    "nan-rigid-data": _edit(0, lambda s: "# 0.0 nan 2.0"),
+    "no-r-column": _edit(1, lambda s: s.replace("r, ", "radius, ")),
+    "no-Phi-column": _edit(1, lambda s: s.replace("Phi", "Phj")),
+    "unpaired-psi_3": _edit(1, lambda s: s.replace("phi_3", "chi_3")),
+    "dropped-column": _edit(3, lambda s: s.rsplit(", ", 1)[0]),
+    "ragged-row": _edit(4, lambda s: s + ", 0.0"),
+    "nan-value": _edit(5, lambda s: _set_value(s, 2, "nan")),
+    "inf-value": _edit(6, lambda s: _set_value(s, 1, "inf")),
+    "word-value": _edit(7, lambda s: _set_value(s, 3, "x")),
+    "no-rows": lambda lines: lines[:2],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIELD_FILES))
+def test_load_field_file_rejects_malformed(tmp_path, grid, case):
+    path = tmp_path / "field.txt"
+    F.save_field_file(path, random_decomposition(grid, np.random.default_rng(5), k_max=3))
+    lines = MALFORMED_FIELD_FILES[case](path.read_text().splitlines())
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidArgument):
+        F.load_field_file(path)
+    with pytest.raises(InvalidArgument):
+        F.load_field_file(path, grid)

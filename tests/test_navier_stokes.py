@@ -8,10 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_decomposition
+from conftest import random_decomposition, traced_peak
 from oracles import physical_space_convection
 
 from diskflow import dynbc
+from diskflow import fields
 from diskflow import navier_stokes as ns
 from diskflow import stokes
 from diskflow.dynbc import ScalarModeState
@@ -150,6 +151,29 @@ def test_nonlinear_term_matches_physical_space_oracle(params, k_max):
         new = ns.nonlinear_term(d, params, cfg)
         ref = physical_space_convection(d, params, k_max, n_theta)
         assert _rel_gap(new, ref) <= 1e-12, n_theta
+
+
+@pytest.mark.parametrize("n", [fields.BLOCK - 1, fields.BLOCK + 1, 2 * fields.BLOCK + 3])
+def test_nonlinear_term_block_edges(params, n):
+    # grids whose last synthesis block is short by one, long by one, or partial
+    grid = build_grid(n, 20.0, 1.5)
+    rng = np.random.default_rng(n)
+    d = random_decomposition(grid, rng, k_max=4)
+    d = ModeDecomposition(grid, d.w, d.psi, d.phi, d.higher,
+                          RigidState(rng.standard_normal(2), d.rigid.omega))
+    for n_theta in (13, 16):
+        new = ns.nonlinear_term(d, params, ns.NonlinearConfig(k_max=4, n_theta=n_theta))
+        ref = physical_space_convection(d, params, 4, n_theta)
+        assert _rel_gap(new, ref) <= 1e-12, n_theta
+
+
+def test_nonlinear_term_memory_peak(params):
+    # at the ns-small-q32 resolution the six full sample planes alone take
+    # 3 MB; sampled in blocks, one call peaks below 4 MB in all
+    grid = build_grid(4096, 300.0, 1.0)
+    d = random_decomposition(grid, np.random.default_rng(3), k_max=4)
+    cfg = ns.NonlinearConfig(k_max=4, n_theta=16)
+    assert traced_peak(lambda: ns.nonlinear_term(d, params, cfg)) <= 4 * 2**20
 
 
 def test_degeneration_to_stokes(grid, params):
@@ -294,6 +318,13 @@ def test_evolve_ns_rejects_past_end(grid, params):
     st = stokes.init_stokes(mode1_bump(grid, 1e-2), params, t=1.0)
     with pytest.raises(InvalidArgument):
         ns.evolve_ns(st, cfg, 0.5, 0.05)
+
+
+def test_kato_solve_rejects_past_end(grid, params):
+    cfg = ns.NonlinearConfig(mode="kato", k_max=2, n_theta=16)
+    st = stokes.init_stokes(mode1_bump(grid, 1e-2), params, t=1.0)
+    with pytest.raises(InvalidArgument):
+        ns.kato_solve(st, cfg, 0.5, 0.05)
 
 
 def test_dropped_grid_is_collected(params):
