@@ -32,7 +32,7 @@ Cholesky solve.  A single channel (step) is the one-block case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
@@ -111,10 +111,6 @@ class ScalarModeState:
         y = y.copy()
         y.flags.writeable = False
         object.__setattr__(self, "y", y)
-
-    @property
-    def n_steps_hint(self):
-        return self.grid.n_points
 
 
 class PackedStepper:
@@ -428,9 +424,3 @@ def _fmt_p(p):
         return str(int(p))
     return str(p)
 
-
-def with_trace_enforced(state):
-    """Return a copy with y[0] := ell (the stored-state convention)."""
-    y = state.y.copy()
-    y[0] = state.ell
-    return replace(state, y=y)

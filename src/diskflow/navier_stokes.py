@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUp, InsufficientAngularResolution, InvalidArgument, NoContraction
+from .errors import (
+    BlowUp,
+    GridMismatch,
+    InsufficientAngularResolution,
+    InvalidArgument,
+    NoContraction,
+)
 from .fields import (
     PolarField,
     _sample_blocks,
@@ -179,8 +185,9 @@ def step_ns(state, config, dt, prev_nonlinear=None, first_step=False):
         src_decomp = decomp_axpy(1.5, nl, -0.5, prev_nonlinear)
     sources = decomp_to_sources(src_decomp)
     new = step_stokes(state, dt, sources=sources, first_step=first_step)
-    n_old = weighted_field_norm(state.grid, state.decomp, 2.0, state.params)
-    n_new = weighted_field_norm(new.grid, new.decomp, 2.0, new.params)
+    # each state keeps its norm: n_old is the previous step's n_new
+    n_old = state.l2_norm
+    n_new = new.l2_norm
     if n_new > config.blowup_factor * max(n_old, 1e-300):
         raise BlowUp(
             f"norm grew {n_new / max(n_old, 1e-300):.2f}x in one step at t = {state.t}"
@@ -194,10 +201,18 @@ def evolve_ns(state0, config, t_end, dt, observer=None, observe_times=None,
 
     linear_shadow, if a StokesState, is co-marched with the unforced
     evolution so observers can record the distance to the linear trajectory;
-    observers are then called as observer(state, shadow_state).
+    observers are then called as observer(state, shadow_state).  The shadow
+    must live on state0's grid and start at state0.t.
     """
     if t_end < state0.t:
         raise InvalidArgument("t_end must be >= the current time")
+    if linear_shadow is not None:
+        if linear_shadow.grid is not state0.grid:
+            raise GridMismatch("linear_shadow lives on another grid than state0")
+        if linear_shadow.t != state0.t:
+            raise InvalidArgument(
+                f"linear_shadow starts at t = {linear_shadow.t}, state0 at t = {state0.t}"
+            )
     if config.cfl_check:
         _cfl_guard(state0, config, dt)
     n_steps = int(round((t_end - state0.t) / dt))

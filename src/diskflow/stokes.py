@@ -19,7 +19,7 @@ solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,23 +62,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StokesState:
-    """Evolution state: the spectral field plus its primary z unknowns.
+    """Evolution state: the primary z unknowns plus the spectral field.
 
     z_higher[j] = (z for psi_{j+2} channel, z for phi_{j+2} channel).  The
-    decomposition is re-derived from the z variables after every step, so
-    transform/inversion consistency holds at all times."""
+    decomposition is derived from the z variables on first read and kept,
+    so transform/inversion consistency holds whenever it is read; a march
+    that reads only the channels never inverts.  The L2 field norm is kept
+    the same way."""
 
-    decomp: ModeDecomposition
     w_state: ScalarModeState
     z_psi: ScalarModeState
     z_phi: ScalarModeState
     z_higher: tuple
     t: float
     params: PhysicalParams
+    _decomp: ModeDecomposition | None = field(default=None, compare=False, repr=False)
+    _l2_norm: float | None = field(default=None, compare=False, repr=False)
 
     @property
     def grid(self):
-        return self.decomp.grid
+        return self.w_state.grid
+
+    @property
+    def decomp(self):
+        if self._decomp is None:
+            d = _rebuild_decomp(self.grid, self.w_state, self.z_psi, self.z_phi, self.z_higher)
+            object.__setattr__(self, "_decomp", d)
+        return self._decomp
+
+    @property
+    def l2_norm(self):
+        """weighted_field_norm of the field at p = 2."""
+        if self._l2_norm is None:
+            n = weighted_field_norm(self.grid, self.decomp, 2.0, self.params)
+            object.__setattr__(self, "_l2_norm", n)
+        return self._l2_norm
 
     @property
     def rigid(self):
@@ -112,7 +130,9 @@ def init_stokes(decomp, params, t=0.0):
     The boundary scalars come from the rigid data (ell_z = 2*ell, the trace
     relations), the fluid parts from the stream transforms; an initial
     no-slip mismatch shows up as a trace jump that the first step smooths,
-    exactly as in the scalar solver.
+    exactly as in the scalar solver.  The state keeps decomp itself as its
+    decomposition: a rebuild from the z variables differs when the data's
+    traces do not match its rigid part.
     """
     grid = decomp.grid
     rig = decomp.rigid
@@ -125,7 +145,7 @@ def init_stokes(decomp, params, t=0.0):
         (ScalarModeState(grid, zpk, 0.0, t), ScalarModeState(grid, zfk, 0.0, t))
         for zpk, zfk in _higher_z(decomp)
     )
-    return StokesState(decomp, w_state, z_psi, z_phi, zh, t, params)
+    return StokesState(w_state, z_psi, z_phi, zh, t, params, _decomp=decomp)
 
 
 def _higher_orders(n_high):
@@ -169,7 +189,8 @@ def _packed_system(grid, params, n_high, theta):
 
 
 def step_stokes(state, dt, sources=None, first_step=False, theta=0.5):
-    """Advance every scalar subsystem by dt and rebuild the decomposition.
+    """Advance every scalar subsystem by dt; the decomposition of the new
+    state is derived when first read.
 
     sources, if given, holds per-subsystem (fluid profile, boundary source)
     pairs as produced by decomp_to_sources; the subsystems remain exactly
@@ -190,8 +211,7 @@ def step_stokes(state, dt, sources=None, first_step=False, theta=0.5):
         channels, dt, scheme.theta, scheme.startup_steps, packed_sources, first_step
     )
     zh = tuple(tuple(pair) for pair in zh)
-    decomp = _rebuild_decomp(grid, w_state, z_psi, z_phi, zh)
-    return StokesState(decomp, w_state, z_psi, z_phi, zh, state.t + dt, params)
+    return StokesState(w_state, z_psi, z_phi, zh, state.t + dt, params)
 
 
 def evolve_stokes(state0, t_end, dt, observer=None, observe_times=None):
@@ -246,13 +266,13 @@ def state_axpy(ca, a, cb=0.0, b=None):
         for (pa, fa), (pb, fb) in zip(a.z_higher, b.z_higher)
     )
     return StokesState(
-        decomp,
         mix(a.w_state, b.w_state),
         mix(a.z_psi, b.z_psi),
         mix(a.z_phi, b.z_phi),
         zh,
         t,
         a.params,
+        _decomp=decomp,
     )
 
 

@@ -17,7 +17,7 @@ from diskflow import navier_stokes as ns
 from diskflow import stokes
 from diskflow.dynbc import ScalarModeState
 from diskflow.elliptic import invert_z
-from diskflow.errors import BlowUp, InvalidArgument, NoContraction
+from diskflow.errors import BlowUp, GridMismatch, InvalidArgument, NoContraction
 from diskflow.fields import (
     ModeDecomposition,
     RigidState,
@@ -318,6 +318,41 @@ def test_evolve_ns_rejects_past_end(grid, params):
     st = stokes.init_stokes(mode1_bump(grid, 1e-2), params, t=1.0)
     with pytest.raises(InvalidArgument):
         ns.evolve_ns(st, cfg, 0.5, 0.05)
+
+
+def test_evolve_ns_rejects_shadow_on_other_grid(grid, params):
+    cfg = ns.NonlinearConfig(k_max=2, n_theta=16)
+    st = stokes.init_stokes(mode1_bump(grid, 1e-2), params)
+    other = build_grid(grid.n_points, grid.r_max, grid.stretch)
+    shadow = stokes.init_stokes(mode1_bump(other, 1e-2), params)
+    with pytest.raises(GridMismatch):
+        ns.evolve_ns(st, cfg, 0.1, 0.05, linear_shadow=shadow)
+
+
+def test_evolve_ns_rejects_shadow_at_other_time(grid, params):
+    cfg = ns.NonlinearConfig(k_max=2, n_theta=16)
+    st = stokes.init_stokes(mode1_bump(grid, 1e-2), params)
+    shadow = stokes.init_stokes(mode1_bump(grid, 1e-2), params, t=0.05)
+    with pytest.raises(InvalidArgument):
+        ns.evolve_ns(st, cfg, 0.1, 0.05, linear_shadow=shadow)
+
+
+def test_step_ns_reuses_guard_norm(grid, params, monkeypatch):
+    # each state's L2 norm is computed once: the guard's n_old is the
+    # previous step's n_new, so n steps take n + 1 norms
+    calls = []
+    inner = stokes.weighted_field_norm
+
+    def counted(*args):
+        calls.append(args[2])
+        return inner(*args)
+
+    monkeypatch.setattr(stokes, "weighted_field_norm", counted)
+    cfg = ns.NonlinearConfig(k_max=2, n_theta=16)
+    st = stokes.init_stokes(mode1_bump(grid, 1e-2), params)
+    final, _ = ns.evolve_ns(st, cfg, 0.25, 0.05)
+    assert calls == [2.0] * 6
+    assert final.l2_norm == weighted_field_norm(grid, final.decomp, 2.0, params)
 
 
 def test_kato_solve_rejects_past_end(grid, params):

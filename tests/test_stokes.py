@@ -369,3 +369,126 @@ def test_packed_step_matches_dense_channels():
             assert np.max(np.abs(after.y - y)) <= 1e-12 * scale
             assert abs(after.ell - ell) <= 1e-12 * scale
             assert after.t == before.t + dt
+
+
+def _decomp_arrays(d):
+    return (d.w, d.psi, d.phi, d.higher, d.rigid.ell, d.rigid.omega, d.rigid.h, d.rigid.theta)
+
+
+def _assert_same_decomp(a, b):
+    for x, y in zip(_decomp_arrays(a), _decomp_arrays(b)):
+        assert np.array_equal(x, y)
+
+
+def _eager_decomp(st):
+    return stokes._rebuild_decomp(st.grid, st.w_state, st.z_psi, st.z_phi, st.z_higher)
+
+
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """Counts the decomposition rebuilds done through stokes._rebuild_decomp."""
+    calls = []
+    inner = stokes._rebuild_decomp
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(stokes, "_rebuild_decomp", counted)
+    return calls
+
+
+def test_init_keeps_given_decomposition(grid, params):
+    # rigid data that disagrees with the profile traces: a decomposition
+    # rebuilt from the z variables would differ, the stored one is kept
+    rng = np.random.default_rng(11)
+    d = random_decomposition(grid, rng, k_max=3)
+    d = ModeDecomposition(grid, d.w, d.psi, d.phi, d.higher,
+                          RigidState(np.array([0.3, -0.7]), 0.2, np.array([1.0, 2.0]), 0.5))
+    st = stokes.init_stokes(d, params)
+    assert st.decomp is d
+    assert st.rigid is d.rigid
+    assert _eager_decomp(st).psi[0] != d.psi[0]
+
+
+def test_channel_reads_do_not_rebuild(grid, params, rebuilds):
+    rng = np.random.default_rng(12)
+    st = stokes.init_stokes(random_decomposition(grid, rng, k_max=3), params)
+    for j in range(3):
+        st = stokes.step_stokes(st, 0.05, first_step=(j == 0))
+    assert st.grid is grid and st.params is params and st.t > 0
+    assert st.w_state.y.shape == st.z_psi.y.shape == st.z_phi.y.shape
+    assert len(st.z_higher) == 2
+    stokes.recover_mode1_pressure(st)
+    assert not rebuilds
+    d = st.decomp
+    assert st.decomp is d and st.rigid is d.rigid
+    assert len(rebuilds) == 1
+
+
+def test_evolve_stokes_rebuilds_per_observation(params, rebuilds):
+    grid = build_grid(128, 15.0, 1.0)
+    setup = translating_data(grid)
+    times = [0.0, 0.5, 1.25, 2.0, 3.0]
+    rec = stokes.StokesRecorder(params)
+    final = stokes.evolve_stokes(setup["state"], 3.0, 0.05, observer=rec, observe_times=times)
+    final.decomp
+    assert len(rec.t) == len(times)
+    assert len(rebuilds) <= len(times) + 1
+
+
+def test_state_axpy_decomp_matches_decomp_axpy(grid, params):
+    rng = np.random.default_rng(13)
+    a = stokes.step_stokes(stokes.init_stokes(random_decomposition(grid, rng, 3), params), 0.1)
+    b = stokes.step_stokes(stokes.init_stokes(random_decomposition(grid, rng, 3), params), 0.1)
+    mixed = stokes.state_axpy(0.7, a, -1.3, b)
+    _assert_same_decomp(mixed.decomp, decomp_axpy(0.7, a.decomp, -1.3, b.decomp))
+    _assert_same_decomp(stokes.state_axpy(2.5, a).decomp, decomp_axpy(2.5, a.decomp))
+
+
+def test_lazy_decomposition_property():
+    # marching in two legs equals marching in one, and the decomposition read
+    # lazily after every step equals the eager rebuild of that step's channels
+    hyp = pytest.importorskip("hypothesis")
+    hst = hyp.strategies
+
+    def channels(st):
+        zs = [st.w_state, st.z_psi, st.z_phi, *(z for pair in st.z_higher for z in pair)]
+        return [(z.y, z.ell, z.t) for z in zs]
+
+    def check_lazy(st):
+        _assert_same_decomp(st.decomp, _eager_decomp(st))
+
+    def stepped_only(state0):
+        # init_stokes keeps the decomposition it was given, not a rebuild
+        return lambda st: st is state0 or check_lazy(st)
+
+    @hyp.settings(max_examples=40, deadline=None, database=None)
+    @hyp.given(
+        n_points=hst.integers(16, 160),
+        r_max=hst.floats(2.5, 40.0),
+        stretch=hst.one_of(hst.just(0.0), hst.floats(0.1, 2.5)),
+        dt=hst.floats(1e-3, 0.5),
+        theta=hst.floats(0.0, 1.0),
+        n1=hst.integers(0, 4),
+        n2=hst.integers(1, 4),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def check(n_points, r_max, stretch, dt, theta, n1, n2, seed):
+        rng = np.random.default_rng(seed)
+        grid = build_grid(n_points, r_max, stretch)
+        params = PhysicalParams(nu=float(rng.uniform(0.2, 3.0)), m=float(rng.uniform(0.5, 10.0)))
+        state0 = stokes.init_stokes(random_decomposition(grid, rng, int(rng.integers(1, 5))), params)
+        leg1 = stokes.evolve_stokes(state0, n1 * dt, dt, observer=stepped_only(state0))
+        split = stokes.evolve_stokes(leg1, (n1 + n2) * dt, dt, observer=stepped_only(state0))
+        whole = stokes.evolve_stokes(state0, (n1 + n2) * dt, dt, observer=stepped_only(state0))
+        assert split.t == whole.t
+        for (ya, la, ta), (yb, lb, tb) in zip(channels(split), channels(whole)):
+            assert np.array_equal(ya, yb) and la == lb and ta == tb
+        _assert_same_decomp(split.decomp, whole.decomp)
+        st = state0
+        for j in range(n2):
+            st = stokes.step_stokes(st, dt, first_step=(j == 0), theta=theta)
+            check_lazy(st)
+
+    check()
