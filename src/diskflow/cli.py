@@ -249,16 +249,11 @@ def run_ns(cfg, setup, out_dir, do_checks):
     )
     header = (
         ["t", "ell_x", "ell_y", "omega"]
-        + [f"norm_L{dynbc._fmt_p(p)}" for p in p_list]
+        + [f"norm_L{dynbc.fmt_p(p)}" for p in p_list]
         + ["diff_norm_L2", "diff_norm_L4"]
     )
-    path = os.path.join(out_dir, "ns_series.txt")
-    with open(path, "w") as fh:
-        for line in _resolved_comment(cfg).splitlines():
-            fh.write(f"# {line}\n")
-        fh.write(", ".join(header) + "\n")
-        for row in rows:
-            fh.write(", ".join(f"{v:.17e}" for v in row) + "\n")
+    dynbc.write_columns(os.path.join(out_dir, "ns_series.txt"), header, rows,
+                        _resolved_comment(cfg))
     lines = [f"rows = {len(rows)}"]
     checks = []
     _write_summary(os.path.join(out_dir, "summary.txt"), cfg, lines, checks)
@@ -271,13 +266,11 @@ def run_kato(cfg, setup, out_dir, do_checks):
     t_end = float(setup["time"]["t_end"])
     dt = float(setup["time"]["dt"])
     states, diag = kato_solve(setup["state"], ns_cfg, t_end, dt)
-    with open(os.path.join(out_dir, "kato_diagnostics.txt"), "w") as fh:
-        for line in _resolved_comment(cfg).splitlines():
-            fh.write(f"# {line}\n")
-        fh.write("n, G_n, ratio\n")
-        for n, gn in enumerate(diag.G_n):
-            ratio = diag.contraction_ratios[n - 1] if 1 <= n <= len(diag.contraction_ratios) else math.nan
-            fh.write(f"{n}, {gn:.17e}, {ratio:.17e}\n")
+    ratios = [math.nan, *diag.contraction_ratios]
+    rows = [(str(n), gn, ratios[n] if n < len(ratios) else math.nan)
+            for n, gn in enumerate(diag.G_n)]
+    dynbc.write_columns(os.path.join(out_dir, "kato_diagnostics.txt"), ("n", "G_n", "ratio"),
+                        rows, _resolved_comment(cfg))
     # cross-validate against the IMEX stepper
     from dataclasses import replace
 
@@ -353,21 +346,17 @@ def run_fit_decay(cfg, out_dir, do_checks):
                 cfg["experiment"].get("name", "fit-decay"),
                 fit_cfg.get("p", ""),
                 fit_cfg.get("q", ""),
-                exp_val,
-                fit.exponent,
-                fit.residual,
-                ok,
+                f"{exp_val:.10f}",
+                f"{fit.exponent:.10f}",
+                f"{fit.residual:.3e}",
+                str(ok),
             )
         )
-    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
-        for line in _resolved_comment(cfg).splitlines():
-            fh.write(f"# {line}\n")
-        fh.write("experiment, p, q, expected, fitted, residual, pass\n")
-        for row in report_rows:
-            fh.write(
-                f"{row[0]}, {row[1]}, {row[2]}, {row[3]:.10f}, {row[4]:.10f}, "
-                f"{row[5]:.3e}, {row[6]}\n"
-            )
+    dynbc.write_columns(
+        os.path.join(out_dir, "report.txt"),
+        ("experiment", "p", "q", "expected", "fitted", "residual", "pass"),
+        report_rows, _resolved_comment(cfg),
+    )
     _write_summary(os.path.join(out_dir, "summary.txt"), cfg, lines, checks)
     return all(ok for _, ok, _ in checks)
 

@@ -32,6 +32,7 @@ Cholesky solve.  A single channel (step) is the one-block case.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +46,15 @@ __all__ = [
     "ScalarModeState",
     "step",
     "evolve",
+    "march",
     "mass",
     "gaussian_profile",
     "lp_norm",
     "lyapunov_functional",
     "TimeSeriesRecorder",
     "geometric_times",
+    "write_columns",
+    "fmt_p",
 ]
 
 
@@ -276,41 +280,45 @@ def step(state, params, dt, source=None, first_step=False):
     return new
 
 
-def evolve(state0, params, t_end, dt, observer=None, observe_times=None):
-    """Repeated stepping from state0.t to t_end.
+def march(state0, step_fn, t_end, dt, observer=None, observe_times=None):
+    """March state = step_fn(state, first_step) from state0.t to t_end.
 
-    observer(state) is called at state0 and then whenever the time passes an
-    entry of observe_times (every step when observe_times is None).
+    t_end - state0.t must be a whole number of steps.  first_step is True
+    only on the first step from t = 0 data: startup smoothing is for fresh
+    data, and march(T1) then march(T2) composes exactly to march(T1 + T2).
+
+    observer(state) is called at state0 and after every step when
+    observe_times is None.  Otherwise it is called at most once per state,
+    state0 included: when the state's time reaches (to within 1e-9 dt)
+    entries of observe_times not yet passed, which that one call consumes
+    all of.  Targets after t_end are never reached.  Returns the final state.
     """
     if t_end < state0.t:
         raise InvalidArgument("t_end must be >= the current time")
     n_steps = int(round((t_end - state0.t) / dt))
     if abs(state0.t + n_steps * dt - t_end) > 1e-9 * max(dt, 1.0):
         raise InvalidArgument("t_end - t0 must be an integer number of steps")
-    targets = None
-    if observe_times is not None:
-        targets = iter(np.sort(np.asarray(observe_times, dtype=float)))
-        next_target = next(targets, None)
+    targets = None if observe_times is None else sorted(map(float, observe_times))
+    passed = 0  # number of targets consumed so far
     state = state0
-    if observer is not None:
-        if observe_times is None:
-            observer(state)
-        else:
-            while next_target is not None and next_target <= state.t + 1e-12:
-                observer(state)
-                next_target = next(targets, None)
-    for j in range(n_steps):
-        # startup smoothing applies to fresh (t = 0) data only, so that
-        # evolve(T1) followed by evolve(T2) composes exactly to evolve(T1+T2)
-        state = step(state, params, dt, first_step=(j == 0 and state.t == 0.0))
-        if observer is not None:
-            if observe_times is None:
-                observer(state)
-            else:
-                while next_target is not None and next_target <= state.t + 1e-9 * dt:
-                    observer(state)
-                    next_target = next(targets, None)
+    for j in range(n_steps + 1):
+        if j > 0:
+            state = step_fn(state, j == 1 and state.t == 0.0)
+        if observer is None:
+            continue
+        if targets is not None:
+            reached = bisect_right(targets, state.t + 1e-9 * dt)
+            if reached == passed:
+                continue
+            passed = reached
+        observer(state)
     return state
+
+
+def evolve(state0, params, t_end, dt, observer=None, observe_times=None):
+    """Repeated stepping from state0.t to t_end, observed as in march."""
+    return march(state0, lambda s, first: step(s, params, dt, first_step=first),
+                 t_end, dt, observer, observe_times)
 
 
 def mass(state, params, grid=None):
@@ -395,7 +403,7 @@ class TimeSeriesRecorder:
             self.mass.append(mass(state, self.params))
 
     def header(self):
-        cols = ["t", "ell"] + [f"norm_p{_fmt_p(p)}" for p in self.p_values]
+        cols = ["t", "ell"] + [f"norm_p{fmt_p(p)}" for p in self.p_values]
         if self.with_mass:
             cols.append("mass")
         return ", ".join(cols)
@@ -408,19 +416,30 @@ class TimeSeriesRecorder:
             yield row
 
     def write(self, path, config_comment=None):
-        with open(path, "w") as fh:
-            if config_comment:
-                for line in str(config_comment).splitlines():
-                    fh.write(f"# {line}\n")
-            fh.write(self.header() + "\n")
-            for row in self.rows():
-                fh.write(", ".join(f"{v:.17e}" for v in row) + "\n")
+        # header() is the already joined header line
+        write_columns(path, [self.header()], self.rows(), config_comment)
 
 
-def _fmt_p(p):
+def write_columns(path, header, rows, comment=None):
+    """Write the columnar text interface of every output file.
+
+    Each line of comment goes first after '# ', then the header names and
+    the rows, each joined by ', '.  Strings are written verbatim, numbers as
+    %.17e (full double precision, so equal data give byte-identical files).
+    """
+    with open(path, "w") as fh:
+        if comment:
+            for line in str(comment).splitlines():
+                fh.write(f"# {line}\n")
+        fh.write(", ".join(header) + "\n")
+        for row in rows:
+            fh.write(", ".join(v if isinstance(v, str) else f"{v:.17e}" for v in row) + "\n")
+
+
+def fmt_p(p):
+    """Exponent p as it appears in column names: 2, 4, 1.5, inf."""
     if np.isinf(p):
         return "inf"
     if float(p).is_integer():
         return str(int(p))
     return str(p)
-

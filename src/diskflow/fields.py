@@ -29,6 +29,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
+from .dynbc import write_columns
 from .errors import (
     GridMismatch,
     InsufficientAngularResolution,
@@ -683,11 +684,8 @@ def save_field_file(path, decomp):
     data = [decomp.grid.nodes, decomp.w, decomp.psi, decomp.phi]
     for j in range(decomp.k_max - 1):
         data += [decomp.higher[j, 0], decomp.higher[j, 1]]
-    with open(path, "w") as fh:
-        fh.write(f"# {rig.ell[0]:.17e} {rig.ell[1]:.17e} {rig.omega:.17e}\n")
-        fh.write(", ".join(cols) + "\n")
-        for row in zip(*data):
-            fh.write(", ".join(f"{v:.17e}" for v in row) + "\n")
+    write_columns(path, cols, zip(*data),
+                  f"{rig.ell[0]:.17e} {rig.ell[1]:.17e} {rig.omega:.17e}")
 
 
 def _finite_floats(toks, line_no):

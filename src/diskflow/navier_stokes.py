@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynbc import march
 from .errors import (
     BlowUp,
     GridMismatch,
@@ -202,10 +203,9 @@ def evolve_ns(state0, config, t_end, dt, observer=None, observe_times=None,
     linear_shadow, if a StokesState, is co-marched with the unforced
     evolution so observers can record the distance to the linear trajectory;
     observers are then called as observer(state, shadow_state).  The shadow
-    must live on state0's grid and start at state0.t.
+    must live on state0's grid and start at state0.t.  observe_times as in
+    dynbc.march.
     """
-    if t_end < state0.t:
-        raise InvalidArgument("t_end must be >= the current time")
     if linear_shadow is not None:
         if linear_shadow.grid is not state0.grid:
             raise GridMismatch("linear_shadow lives on another grid than state0")
@@ -215,37 +215,19 @@ def evolve_ns(state0, config, t_end, dt, observer=None, observe_times=None,
             )
     if config.cfl_check:
         _cfl_guard(state0, config, dt)
-    n_steps = int(round((t_end - state0.t) / dt))
-    if abs(state0.t + n_steps * dt - t_end) > 1e-9 * max(dt, 1.0):
-        raise InvalidArgument("t_end - t0 must be an integer number of steps")
-    targets = None
-    next_target = None
-    if observe_times is not None:
-        targets = iter(np.sort(np.asarray(observe_times, dtype=float)))
-        next_target = next(targets, None)
-    state = state0
     shadow = linear_shadow
-
-    def notify(st, sh):
-        nonlocal next_target
-        if observer is None:
-            return
-        if observe_times is None:
-            observer(st, sh)
-            return
-        while next_target is not None and next_target <= st.t + 1e-9 * dt:
-            observer(st, sh)
-            next_target = next(targets, None)
-
-    notify(state, shadow)
     prev_nl = None
-    for j in range(n_steps):
-        fresh = j == 0 and state.t == 0.0
-        state, prev_nl = step_ns(state, config, dt, prev_nl, first_step=fresh)
+
+    def step_fn(state, first_step):
+        nonlocal shadow, prev_nl
+        state, prev_nl = step_ns(state, config, dt, prev_nl, first_step=first_step)
         if shadow is not None:
-            shadow = step_stokes(shadow, dt, first_step=fresh)
-        notify(state, shadow)
-    return state, shadow
+            shadow = step_stokes(shadow, dt, first_step=first_step)
+        return state
+
+    notify = None if observer is None else lambda st: observer(st, shadow)
+    final = march(state0, step_fn, t_end, dt, notify, observe_times)
+    return final, shadow
 
 
 @dataclass
@@ -286,18 +268,10 @@ def kato_solve(state0, config, t_end, dt):
     """
     if config.mode != "kato":
         raise InvalidArgument("kato_solve drives the kato mode")
-    if t_end < state0.t:
-        raise InvalidArgument("t_end must be >= the current time")
     params = state0.params
-    n_steps = int(round((t_end - state0.t) / dt))
-    if abs(state0.t + n_steps * dt - t_end) > 1e-9 * max(dt, 1.0):
-        raise InvalidArgument("t_end - t0 must be an integer number of steps")
-
-    base = [state0]
-    st = state0
-    for j in range(n_steps):
-        st = step_stokes(st, dt, first_step=(j == 0 and st.t == 0.0))
-        base.append(st)
+    base = []
+    march(state0, lambda s, first: step_stokes(s, dt, first_step=first), t_end, dt,
+          observer=base.append)
 
     current = base
     G_list = [_triple_norm_series(current, params)]
@@ -309,10 +283,10 @@ def kato_solve(state0, config, t_end, dt):
     for _ in range(config.kato_max_iters):
         acc = zero
         new = [base[0]]
-        for j in range(n_steps):
-            src = nonlinear_term(current[j].decomp, params, config)
+        for cur, nxt in zip(current, base[1:]):
+            src = nonlinear_term(cur.decomp, params, config)
             acc = step_stokes(state_axpy(1.0, acc, dt, init_stokes(src, params)), dt)
-            new.append(state_axpy(1.0, base[j + 1], 1.0, acc))
+            new.append(state_axpy(1.0, nxt, 1.0, acc))
         diffs = [state_axpy(1.0, a, -1.0, b) for a, b in zip(new, current)]
         dnorm = _triple_norm_series(diffs, params)
         G_list.append(_triple_norm_series(new, params))

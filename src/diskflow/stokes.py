@@ -215,36 +215,9 @@ def step_stokes(state, dt, sources=None, first_step=False, theta=0.5):
 
 
 def evolve_stokes(state0, t_end, dt, observer=None, observe_times=None):
-    """March the coupled linear system from state0.t to t_end."""
-    if t_end < state0.t:
-        raise InvalidArgument("t_end must be >= the current time")
-    n_steps = int(round((t_end - state0.t) / dt))
-    if abs(state0.t + n_steps * dt - t_end) > 1e-9 * max(dt, 1.0):
-        raise InvalidArgument("t_end - t0 must be an integer number of steps")
-    targets = None
-    next_target = None
-    if observe_times is not None:
-        targets = iter(np.sort(np.asarray(observe_times, dtype=float)))
-        next_target = next(targets, None)
-    state = state0
-
-    def notify(st):
-        nonlocal next_target
-        if observer is None:
-            return
-        if observe_times is None:
-            observer(st)
-            return
-        while next_target is not None and next_target <= st.t + 1e-9 * dt:
-            observer(st)
-            next_target = next(targets, None)
-
-    notify(state)
-    for j in range(n_steps):
-        # startup smoothing only for fresh (t = 0) states: exact composition
-        state = step_stokes(state, dt, first_step=(j == 0 and state.t == 0.0))
-        notify(state)
-    return state
+    """March the coupled linear system from state0.t to t_end (dynbc.march)."""
+    return dynbc.march(state0, lambda s, first: step_stokes(s, dt, first_step=first),
+                       t_end, dt, observer, observe_times)
 
 
 def state_axpy(ca, a, cb=0.0, b=None):
@@ -431,8 +404,8 @@ class StokesRecorder:
 
     def header(self):
         cols = ["t", "ell_x", "ell_y", "omega"]
-        cols += [f"norm_L{dynbc._fmt_p(p)}" for p in self.p_values]
-        cols += [f"profile_err_L{dynbc._fmt_p(p)}" for p in self.profile_ps]
+        cols += [f"norm_L{dynbc.fmt_p(p)}" for p in self.p_values]
+        cols += [f"profile_err_L{dynbc.fmt_p(p)}" for p in self.profile_ps]
         cols += ["mass_phi", "mass_psi", "added_mass_resid"]
         return ", ".join(cols)
 
@@ -451,10 +424,5 @@ class StokesRecorder:
             ]
 
     def write(self, path, config_comment=None):
-        with open(path, "w") as fh:
-            if config_comment:
-                for line in str(config_comment).splitlines():
-                    fh.write(f"# {line}\n")
-            fh.write(self.header() + "\n")
-            for row in self.rows():
-                fh.write(", ".join(f"{v:.17e}" for v in row) + "\n")
+        # header() is the already joined header line
+        dynbc.write_columns(path, [self.header()], self.rows(), config_comment)

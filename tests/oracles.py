@@ -2,8 +2,9 @@
 
 They keep earlier, independent algorithms on purpose: the convection term in
 physical space (FFT sampling, FFT angular derivatives, radial derivatives of
-the sampled planes) projected one mode and one channel at a time, and the
-scalar theta-method step as a dense solve per channel.
+the sampled planes) projected one mode and one channel at a time, the
+scalar theta-method step as a dense solve per channel, and the marching loop
+as a plain scan over the remaining observe targets.
 """
 
 import math
@@ -202,3 +203,33 @@ def dense_channel_step(state, params, dt, source=None, first_step=False):
     y = np.zeros(n)
     y[idx] = u
     return y, (float(u[0]) if dynamic else 0.0)
+
+
+# ---------------------------------------------------------------------------
+# marching loop, naive
+# ---------------------------------------------------------------------------
+
+
+def naive_march(state0, step_fn, t_end, dt, observer=None, observe_times=None):
+    """dynbc.march for valid arguments, written out plainly.
+
+    The states are state0 and one per step.  A state is observed when
+    observe_times is None, or when any target still remaining lies at or
+    below its time (within 1e-9 dt); it then removes every such target.
+    """
+    n_steps = round((t_end - state0.t) / dt)
+    remaining = None if observe_times is None else [float(x) for x in observe_times]
+    state = state0
+    for j in range(n_steps + 1):
+        if j > 0:
+            state = step_fn(state, j == 1 and state.t == 0.0)
+        if observer is None:
+            continue
+        if remaining is None:
+            observer(state)
+            continue
+        reached = [x for x in remaining if x <= state.t + 1e-9 * dt]
+        if reached:
+            observer(state)
+            remaining = [x for x in remaining if x not in reached]
+    return state

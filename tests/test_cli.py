@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from diskflow import cli
 from diskflow.analysis import expected_exponent
@@ -90,6 +91,23 @@ def test_mode_heat_run_and_determinism(tmp_path):
     assert "mass drift" in summary
     assert "check mass-conservation: pass" in summary
     assert "check self-similar-boundary" in summary
+
+
+def test_power_of_two_end_has_no_duplicate_rows(tmp_path):
+    # at t_end = 4 the observe times hold both 2^2 - eps and 4.0, which the
+    # last step passes together: that state is written once
+    cfg = tmp_path / "p2.cfg"
+    out = tmp_path / "out"
+    cfg.write_text(
+        "[experiment]\nkind = mode-heat\n[initial_data]\npreset = unit-kick-k0\n"
+        "[grid]\nn_points = 256\nr_max = 30\n[time]\ndt = 0.05\nt_end = 4\n"
+        f"[checks]\nenabled = false\n[output]\ndir = {out}\n"
+    )
+    assert cli.main(["run", str(cfg)]) == 0
+    lines = (out / "time_series.txt").read_text().splitlines()
+    ts = [ln.split(",")[0] for ln in lines if not ln.startswith("#")][1:]
+    assert len(set(ts)) == len(ts)
+    assert float(ts[-1]) == pytest.approx(4.0)
 
 
 def test_fit_decay_experiment(tmp_path):
@@ -200,8 +218,10 @@ def test_kato_experiment(tmp_path):
     )
     assert cli.main(["run", str(cfg)]) == 0
     diag = (out / "kato_diagnostics.txt").read_text().splitlines()
-    header = [ln for ln in diag if not ln.startswith("#")][0]
+    header, first = [ln for ln in diag if not ln.startswith("#")][:2]
     assert header == "n, G_n, ratio"
+    # n is written as an integer and the first iterate has no ratio
+    assert first.startswith("0, ") and first.endswith(", nan")
     summary = (out / "summary.txt").read_text()
     assert "check kato-contraction: pass" in summary
     assert "check kato-imex-cross: pass" in summary

@@ -1,6 +1,7 @@
 """Scalar dynamic-boundary heat solver: conservation, decay, oracles."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from diskflow import dynbc
 from diskflow.dynbc import DynBCParams, ScalarModeState
 from diskflow.errors import InvalidArgument, NonpositiveTime, SolverFailure, UnsupportedVariant
 from diskflow.grid import build_grid
+from oracles import naive_march
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +274,106 @@ def test_recorder_format(tmp_path, grid):
     assert lines[0] == "# demo"
     assert lines[1] == "t, ell, norm_p1, norm_p2, norm_pinf, mass"
     assert len(lines) == 2 + 5
+
+
+def test_write_columns_format(tmp_path):
+    path = tmp_path / "cols.txt"
+    rows = [("a b", 1.5, np.float64(-2.0)), ("7", math.nan, 0.1)]
+    dynbc.write_columns(path, ["name", "x", "y"], rows, comment="first\nsecond")
+    assert path.read_text().splitlines() == [
+        "# first",
+        "# second",
+        "name, x, y",
+        "a b, 1.50000000000000000e+00, -2.00000000000000000e+00",
+        "7, nan, 1.00000000000000006e-01",
+    ]
+    dynbc.write_columns(path, ["t"], [[0.25]])
+    assert path.read_text() == "t\n2.50000000000000000e-01\n"
+
+
+# march reads nothing of a state but its time
+Tick = namedtuple("Tick", "t")
+
+
+def _recorded_march(march, t0, t_end, dt, observe_times):
+    """(final state, event log) of a march over Ticks, logging every step
+    call as ("step", t, first_step) and every observation as ("observe", t)."""
+    events = []
+
+    def step_fn(s, first_step):
+        events.append(("step", s.t, first_step))
+        return Tick(s.t + dt)
+
+    def observer(s):
+        events.append(("observe", s.t))
+
+    final = march(Tick(t0), step_fn, t_end, dt, observer, observe_times)
+    return final, events
+
+
+def test_march_observes_each_state_once():
+    # 0.3 and 0.4 both lie inside the step (0.25, 0.5]; 0.5 is listed twice
+    final, events = _recorded_march(dynbc.march, 0.0, 1.0, 0.25, [0.4, 0.0, 0.3, 0.5, 0.5, 2.0])
+    assert final == Tick(1.0)
+    assert [e for e in events if e[0] == "observe"] == [("observe", 0.0), ("observe", 0.5)]
+    assert [e for e in events if e[0] == "step"] == [
+        ("step", 0.0, True), ("step", 0.25, False), ("step", 0.5, False), ("step", 0.75, False),
+    ]
+    # startup smoothing is for t = 0 data only
+    _, events = _recorded_march(dynbc.march, 0.5, 1.0, 0.25, None)
+    assert events == [("observe", 0.5), ("step", 0.5, False), ("observe", 0.75),
+                      ("step", 0.75, False), ("observe", 1.0)]
+
+
+def test_march_matches_naive_loop_property():
+    hyp = pytest.importorskip("hypothesis")
+    hst = hyp.strategies
+
+    @hyp.settings(max_examples=300, deadline=None, database=None)
+    @hyp.given(
+        data=hst.data(),
+        dt=hst.floats(1e-3, 4.0),
+        k0=hst.integers(0, 6),
+        n_steps=hst.integers(0, 12),
+        every_step=hst.booleans(),
+    )
+    def check(data, dt, k0, n_steps, every_step):
+        t0 = k0 * dt
+        t_end = t0 + n_steps * dt
+        times = None
+        if not every_step:
+            # step-grid times, times within a few 1e-9 dt of them, free times,
+            # targets before t0 and after t_end
+            j = hst.integers(-2, n_steps + 2)
+            on_grid = hst.builds(lambda j: t0 + j * dt, j)
+            near_grid = hst.builds(lambda j, e: t0 + (j + e) * dt, j, hst.floats(-3e-9, 3e-9))
+            anywhere = hst.floats(t0 - 3.0 * dt, t_end + 3.0 * dt)
+            times = data.draw(hst.lists(hst.one_of(on_grid, near_grid, anywhere), max_size=12))
+            if times:
+                times += data.draw(hst.lists(hst.sampled_from(times), max_size=4))
+        assert _recorded_march(dynbc.march, t0, t_end, dt, times) == \
+            _recorded_march(naive_march, t0, t_end, dt, times)
+
+    @hyp.settings(max_examples=100, deadline=None, database=None)
+    @hyp.given(
+        dt=hst.floats(1e-3, 4.0),
+        k0=hst.integers(0, 6),
+        n_steps=hst.integers(0, 12),
+        frac=hst.floats(0.01, 0.99),
+    )
+    def check_rejects(dt, k0, n_steps, frac):
+        t0 = k0 * dt
+
+        def step_fn(s, first_step):
+            raise AssertionError("a rejected march must not step")
+
+        with pytest.raises(InvalidArgument, match="current time"):
+            dynbc.march(Tick(t0), step_fn, t0 - frac * dt, dt)
+        with pytest.raises(InvalidArgument, match="integer number of steps"):
+            dynbc.march(Tick(t0), step_fn, t0 + (n_steps + frac) * dt, dt)
+
+    check()
+    check_rejects()
 
 
 def test_geometric_times():
