@@ -9,8 +9,6 @@ certify the smallness regime.
 Run:  python3 demos/demo_nonlinear.py        (about a minute)
 """
 
-from dataclasses import replace
-
 from diskflow import build_setup, get_preset
 from diskflow import navier_stokes as ns
 from diskflow import stokes
@@ -32,10 +30,9 @@ def main():
         print(f"  iterate {n}: smallness G = {g:.6e}{extra}")
     print(f"  converged: {diag.converged}, fixed-point bound mu0 ~ {diag.mu0_estimate:.3e}")
 
-    imex_cfg = replace(cfg, mode="imex")
     state = stokes.init_stokes(setup["decomp0"], params)
     shadow = stokes.init_stokes(setup["decomp0"], params)
-    state, shadow = ns.evolve_ns(state, imex_cfg, t_end, dt, linear_shadow=shadow)
+    state, shadow = ns.evolve_ns(state, cfg, t_end, dt, linear_shadow=shadow)
     gap_kato = weighted_field_norm(
         state.grid, decomp_axpy(1.0, state.decomp, -1.0, states[-1].decomp), 2.0, params
     )

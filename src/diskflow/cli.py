@@ -25,7 +25,7 @@ import numpy as np
 from . import dynbc
 from .analysis import expected_exponent, fit_decay
 from .errors import ConfigError, DiskflowError
-from .fields import decomp_axpy, load_field_file, weighted_field_norm
+from .fields import _floats, decomp_axpy, load_field_file, weighted_field_norm
 from .navier_stokes import evolve_ns, kato_solve
 from .presets import build_setup, get_preset, preset_names
 from .stokes import (
@@ -35,19 +35,15 @@ from .stokes import (
     init_stokes,
 )
 
-_EXPERIMENTS = (
-    "mode-heat",
-    "evolve-stokes",
-    "evolve-ns",
-    "kato",
-    "fit-decay",
-    "compare-asymptotic",
-)
-
-
-def _parse_p(tok):
-    tok = tok.strip()
-    return math.inf if tok in ("inf", "Inf", "INF") else float(tok)
+# every experiment kind with the build_setup keys its runner reads
+_EXPERIMENTS = {
+    "mode-heat": ("scalar_state",),
+    "evolve-stokes": ("state",),
+    "evolve-ns": ("state", "ns_config"),
+    "kato": ("state", "ns_config"),
+    "fit-decay": (),
+    "compare-asymptotic": ("state",),
+}
 
 
 def load_config(path):
@@ -76,12 +72,22 @@ def _resolved_comment(cfg):
     return "\n".join(lines)
 
 
+def _config_float(cfg, section, key, default=None):
+    """cfg[section][key] as a finite float (default when absent)."""
+    raw = cfg.get(section, {}).get(key)
+    if raw is None:
+        return default
+    try:
+        val = float(raw)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise ConfigError(f"{section}.{key} = {raw!r} is not a finite number")
+    return val
+
+
 def _float_overrides(cfg, section, keys):
-    out = {}
-    for key in keys:
-        if section in cfg and key in cfg[section]:
-            out[key] = float(cfg[section][key])
-    return out
+    return {key: _config_float(cfg, section, key) for key in keys if key in cfg.get(section, {})}
 
 
 def _setup_from_config(cfg):
@@ -101,9 +107,19 @@ def _setup_from_config(cfg):
     preset = get_preset(preset_name)
     setup = build_setup(preset, overrides)
     if "file" in cfg.get("initial_data", {}):
-        decomp = load_field_file(cfg["initial_data"]["file"], setup["grid"])
+        src = cfg["initial_data"]["file"]
+        try:
+            decomp = load_field_file(src, setup["grid"])
+        except OSError as exc:
+            raise ConfigError(f"cannot read initial_data.file {src!r}: {exc.strerror}") from None
         setup["decomp0"] = decomp
         setup["state"] = init_stokes(decomp, setup["params"])
+    kind = exp["kind"]
+    if not all(key in setup for key in _EXPERIMENTS[kind]):
+        raise ConfigError(
+            f"experiment.kind = {kind!r} cannot run preset {preset_name!r}, "
+            f"which is set up for {preset.experiment}"
+        )
     nu = setup["params"].nu
     t_end = float(setup["time"]["t_end"])
     if setup["grid"].r_max < 6.0 * math.sqrt(nu * t_end):
@@ -117,7 +133,10 @@ def _setup_from_config(cfg):
 
 def _norm_list(cfg):
     raw = cfg.get("norms", {}).get("p", "2, 4, inf")
-    return tuple(_parse_p(tok) for tok in raw.split(","))
+    try:
+        return tuple(float(tok) for tok in raw.split(","))
+    except ValueError:
+        raise ConfigError(f"norms.p = {raw!r} is not a list of numbers") from None
 
 
 def _out_dir(cfg):
@@ -158,7 +177,8 @@ def run_mode_heat(cfg, setup, out_dir, do_checks):
     lines = [f"final t = {final.t:.17e}", f"final ell = {final.ell:.17e}"]
     checks = []
     if params.k == 0:
-        m0, mT = rec.mass[0], rec.mass[-1]
+        masses = rec.column("mass")
+        m0, mT = masses[0], masses[-1]
         drift = abs(mT - m0) / max(abs(m0), 1e-300)
         lines.append(f"mass initial = {m0:.17e}")
         lines.append(f"mass final = {mT:.17e}")
@@ -175,6 +195,11 @@ def run_mode_heat(cfg, setup, out_dir, do_checks):
 
 
 def run_stokes(cfg, setup, out_dir, do_checks, compare_asymptotic=False):
+    if compare_asymptotic and float(setup["time"]["t_end"]) < 10.0:
+        raise ConfigError(
+            "compare-asymptotic compares the profile error at t = 10 with t_end; "
+            f"t_end = {setup['time']['t_end']} < 10"
+        )
     params = setup["params"]
     state = setup["state"]
     mom = asymptotic_momenta(state)
@@ -199,10 +224,8 @@ def run_stokes(cfg, setup, out_dir, do_checks, compare_asymptotic=False):
                 ("disk-translation", abs(ratio - 1.0) <= 0.15, f"|ratio-1| = {abs(ratio - 1):.3e}")
             )
         if compare_asymptotic:
-            e_arr = np.sqrt(np.asarray(rec.t)) * np.asarray(
-                [pe[0] for pe in rec.profile_err]
-            )
-            t_arr = np.asarray(rec.t)
+            t_arr = np.asarray(rec.column("t"))
+            e_arr = np.sqrt(t_arr) * np.asarray(rec.column("profile_err_L2"))
             i10 = int(np.argmin(np.abs(t_arr - 10.0)))
             i_end = len(t_arr) - 1
             lines.append(f"profile_e10 = {e_arr[i10]:.17e}")
@@ -215,46 +238,38 @@ def run_stokes(cfg, setup, out_dir, do_checks, compare_asymptotic=False):
                         f"e(T)/e(10) = {e_arr[i_end] / e_arr[i10]:.3f}",
                     )
                 )
-    amr = np.nanmax(np.abs(np.asarray(rec.added_mass_resid)))
+    amr = np.nanmax(np.abs(np.asarray(rec.column("added_mass_resid"))))
     lines.append(f"max_added_mass_residual = {amr:.3e}")
     _write_summary(os.path.join(out_dir, "summary.txt"), cfg, lines, checks)
     return all(ok for _, ok, _ in checks)
 
 
 def run_ns(cfg, setup, out_dir, do_checks):
-    from dataclasses import replace
-
     params = setup["params"]
-    state = setup["state"]
     shadow = init_stokes(setup["decomp0"], params)
-    ns_cfg = replace(setup["ns_config"], mode="imex")
     p_list = _norm_list(cfg)
-    times = _observe_times(setup["time"])
-    rows = []
-
-    def obs(st, sh):
-        d = decomp_axpy(1.0, st.decomp, -1.0, sh.decomp)
-        rows.append(
-            [st.t, st.rigid.ell[0], st.rigid.ell[1], st.rigid.omega]
-            + [weighted_field_norm(st.grid, st.decomp, p, params) for p in p_list]
-            + [
-                weighted_field_norm(st.grid, d, 2.0, params),
-                weighted_field_norm(st.grid, d, 4.0, params),
-            ]
-        )
-
-    evolve_ns(
-        state, ns_cfg, float(setup["time"]["t_end"]), float(setup["time"]["dt"]),
-        observer=obs, observe_times=times, linear_shadow=shadow,
-    )
     header = (
         ["t", "ell_x", "ell_y", "omega"]
         + [f"norm_L{dynbc.fmt_p(p)}" for p in p_list]
         + ["diff_norm_L2", "diff_norm_L4"]
     )
-    dynbc.write_columns(os.path.join(out_dir, "ns_series.txt"), header, rows,
-                        _resolved_comment(cfg))
-    lines = [f"rows = {len(rows)}"]
+
+    def row(st, sh):
+        d = decomp_axpy(1.0, st.decomp, -1.0, sh.decomp)
+        return (
+            [st.t, st.rigid.ell[0], st.rigid.ell[1], st.rigid.omega]
+            + [weighted_field_norm(st.grid, st.decomp, p, params) for p in p_list]
+            + [weighted_field_norm(st.grid, d, p, params) for p in (2.0, 4.0)]
+        )
+
+    rec = dynbc.Recorder(header, row)
+    evolve_ns(
+        setup["state"], setup["ns_config"], float(setup["time"]["t_end"]),
+        float(setup["time"]["dt"]), observer=rec,
+        observe_times=_observe_times(setup["time"]), linear_shadow=shadow,
+    )
+    rec.write(os.path.join(out_dir, "ns_series.txt"), _resolved_comment(cfg))
+    lines = [f"rows = {len(rec.rows)}"]
     checks = []
     _write_summary(os.path.join(out_dir, "summary.txt"), cfg, lines, checks)
     return True
@@ -272,10 +287,7 @@ def run_kato(cfg, setup, out_dir, do_checks):
     dynbc.write_columns(os.path.join(out_dir, "kato_diagnostics.txt"), ("n", "G_n", "ratio"),
                         rows, _resolved_comment(cfg))
     # cross-validate against the IMEX stepper
-    from dataclasses import replace
-
-    imex_cfg = replace(ns_cfg, mode="imex")
-    final, _ = evolve_ns(init_stokes(setup["decomp0"], params), imex_cfg, t_end, dt)
+    final, _ = evolve_ns(init_stokes(setup["decomp0"], params), ns_cfg, t_end, dt)
     d = decomp_axpy(1.0, final.decomp, -1.0, states[-1].decomp)
     disc = weighted_field_norm(final.grid, d, 2.0, params)
     lines = [
@@ -303,22 +315,18 @@ def run_fit_decay(cfg, out_dir, do_checks):
     if src is None:
         raise ConfigError("[fit] section needs file = <time series path>")
     column = fit_cfg.get("column", "norm_L2")
-    window = (
-        float(fit_cfg.get("t_min", 10.0)),
-        float(fit_cfg.get("t_max", 100.0)),
-    )
+    window = (_config_float(cfg, "fit", "t_min", 10.0), _config_float(cfg, "fit", "t_max", 100.0))
     log_corr = fit_cfg.get("log_correction", "false").lower() in ("1", "true", "yes")
-    with open(src) as fh:
-        header = None
-        rows = []
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            if header is None:
-                header = [tok.strip() for tok in line.split(",")]
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    data = np.asarray(rows)
+    try:
+        with open(src) as fh:
+            lines = [(i, line) for i, line in enumerate(fh, start=1)
+                     if line.strip() and not line.startswith("#")]
+    except OSError as exc:
+        raise ConfigError(f"cannot read fit.file {src!r}: {exc.strerror}") from None
+    header = [tok.strip() for tok in lines[0][1].split(",")] if lines else []
+    rows = [_floats(line.split(","), f"series file line {i}", len(header), finite=False)
+            for i, line in lines[1:]]
+    data = np.asarray(rows).reshape(len(rows), len(header))
     cols = {name: data[:, i] for i, name in enumerate(header)}
     if column not in cols:
         raise ConfigError(f"column {column!r} not among {header}")
@@ -334,8 +342,8 @@ def run_fit_decay(cfg, out_dir, do_checks):
     checks = []
     report_rows = []
     if expected is not None:
-        tol = float(fit_cfg.get("tolerance", 0.2))
-        exp_val = float(expected)
+        tol = _config_float(cfg, "fit", "tolerance", 0.2)
+        exp_val = _config_float(cfg, "fit", "expected")
         ok = abs(fit.exponent - exp_val) <= tol
         if do_checks:
             checks.append(
@@ -401,8 +409,8 @@ def main(argv=None):
     sub.add_parser("list-presets", help="list the shipped presets")
     p_exp = sub.add_parser("print-expected", help="closed-form decay exponent lookup")
     p_exp.add_argument("kind")
-    p_exp.add_argument("p")
-    p_exp.add_argument("q")
+    p_exp.add_argument("p", type=float)
+    p_exp.add_argument("q", type=float)
     p_exp.add_argument("--regime", default="long", choices=("short", "long"))
     args = parser.parse_args(argv)
     try:
@@ -411,9 +419,7 @@ def main(argv=None):
                 print(f"{name}: {get_preset(name).description}")
             return 0
         if args.command == "print-expected":
-            rate = expected_exponent(
-                args.kind, _parse_p(args.p), _parse_p(args.q), args.regime
-            )
+            rate = expected_exponent(args.kind, args.p, args.q, args.regime)
             suffix = " (log-corrected)" if rate.log_correction else ""
             print(f"{rate.exponent:.17e}{suffix}")
             return 0

@@ -51,6 +51,7 @@ __all__ = [
     "gaussian_profile",
     "lp_norm",
     "lyapunov_functional",
+    "Recorder",
     "TimeSeriesRecorder",
     "geometric_times",
     "write_columns",
@@ -379,45 +380,41 @@ def geometric_times(t_start, t_end, ratio):
     return np.asarray(out)
 
 
-class TimeSeriesRecorder:
-    """Observer collecting (t, ell, requested L^p norms, optionally mass).
+class Recorder:
+    """Observer keeping one row per observation: row(*states) gives the
+    values under the column names header.  column(name) reads one column
+    back; write() emits the columnar text interface (write_columns)."""
 
-    write() emits the columnar text interface: a comment header naming the
-    configuration, then one row per observation.
-    """
+    def __init__(self, header, row):
+        self.header = list(header)
+        self.row = row
+        self.rows = []
 
-    def __init__(self, params, p_values=(2.0,), with_mass=False):
-        self.params = params
-        self.p_values = tuple(p_values)
-        self.with_mass = with_mass and params.variant == "dynamic" and params.k == 0
-        self.t = []
-        self.ell = []
-        self.norms = []
-        self.mass = []
+    def __call__(self, *states):
+        self.rows.append(self.row(*states))
 
-    def __call__(self, state):
-        self.t.append(state.t)
-        self.ell.append(state.ell)
-        self.norms.append([lp_norm(state, self.params, p) for p in self.p_values])
-        if self.with_mass:
-            self.mass.append(mass(state, self.params))
-
-    def header(self):
-        cols = ["t", "ell"] + [f"norm_p{fmt_p(p)}" for p in self.p_values]
-        if self.with_mass:
-            cols.append("mass")
-        return ", ".join(cols)
-
-    def rows(self):
-        for i, t in enumerate(self.t):
-            row = [t, self.ell[i], *self.norms[i]]
-            if self.with_mass:
-                row.append(self.mass[i])
-            yield row
+    def column(self, name):
+        i = self.header.index(name)
+        return [row[i] for row in self.rows]
 
     def write(self, path, config_comment=None):
-        # header() is the already joined header line
-        write_columns(path, [self.header()], self.rows(), config_comment)
+        write_columns(path, self.header, self.rows, config_comment)
+
+
+class TimeSeriesRecorder(Recorder):
+    """Recorder of (t, ell, requested L^p norms, optionally mass)."""
+
+    def __init__(self, params, p_values=(2.0,), with_mass=False):
+        p_values = tuple(p_values)
+        with_mass = with_mass and params.variant == "dynamic" and params.k == 0
+        header = ["t", "ell"] + [f"norm_p{fmt_p(p)}" for p in p_values]
+        header += ["mass"] if with_mass else []
+
+        def row(state):
+            vals = [state.t, state.ell, *(lp_norm(state, params, p) for p in p_values)]
+            return vals + [mass(state, params)] if with_mass else vals
+
+        super().__init__(header, row)
 
 
 def write_columns(path, header, rows, comment=None):

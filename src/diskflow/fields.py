@@ -688,14 +688,17 @@ def save_field_file(path, decomp):
                   f"{rig.ell[0]:.17e} {rig.ell[1]:.17e} {rig.omega:.17e}")
 
 
-def _finite_floats(toks, line_no):
-    """The tokens of one field-file line as finite floats."""
+def _floats(toks, where, width=None, finite=True):
+    """The tokens of the columnar-file line named where as floats: width of
+    them if width is given, finite ones unless finite=False."""
+    if width is not None and len(toks) != width:
+        raise InvalidArgument(f"{where} has {len(toks)} values for {width} columns")
     try:
         vals = [float(tok) for tok in toks]
     except ValueError as exc:
-        raise InvalidArgument(f"field file line {line_no}: {exc}") from exc
-    if not all(math.isfinite(v) for v in vals):
-        raise InvalidArgument(f"field file line {line_no} holds a non-finite value")
+        raise InvalidArgument(f"{where}: {exc}") from exc
+    if finite and not all(math.isfinite(v) for v in vals):
+        raise InvalidArgument(f"{where} holds a non-finite value")
     return vals
 
 
@@ -725,15 +728,8 @@ def load_field_file(path, grid=None):
         raise InvalidArgument(f"field file lacks the column(s) {', '.join(missing)}")
     if not lines:
         raise InvalidArgument("field file has no data rows")
-    ex, ey, om = _finite_floats(toks, 1)
-    rows = []
-    for i, line in lines:
-        toks = line.split(",")
-        if len(toks) != len(header):
-            raise InvalidArgument(
-                f"field file line {i} has {len(toks)} values for {len(header)} columns"
-            )
-        rows.append(_finite_floats(toks, i))
+    ex, ey, om = _floats(toks, "field file line 1")
+    rows = [_floats(line.split(","), f"field file line {i}", len(header)) for i, line in lines]
     data = np.asarray(rows).T
     cols = {name: data[i] for i, name in enumerate(header)}
     nodes = cols["r"]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynbc import march
+from .dynbc import Recorder, march
 from .errors import (
     BlowUp,
     GridMismatch,
@@ -61,9 +61,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NonlinearConfig:
-    """Resolution and mode switches of the nonlinear driver."""
+    """Resolution and iteration settings of the nonlinear driver."""
 
-    mode: str = "imex"
     k_max: int = 4
     n_theta: int = 16
     dealias: bool = True
@@ -73,8 +72,6 @@ class NonlinearConfig:
     cfl_check: bool = True
 
     def __post_init__(self):
-        if self.mode not in ("imex", "kato"):
-            raise InvalidArgument(f"unknown mode {self.mode!r}")
         # Orszag's 2/3 rule: the product's top mode 2*k_max must alias
         # beyond k_max, i.e. n_theta - 2*k_max > k_max
         if self.dealias and self.n_theta < 3 * self.k_max + 1:
@@ -174,8 +171,6 @@ def step_ns(state, config, dt, prev_nonlinear=None, first_step=False):
     extrapolation of the source, with implicit Euler on the first step.
     The linear sub-blocks stay decoupled inside the implicit solve.
     """
-    if config.mode != "imex":
-        raise InvalidArgument("step_ns drives the imex mode")
     nl = nonlinear_term(state.decomp, state.params, config)
     if prev_nonlinear is None:
         # first step: frozen source (implicit-Euler treatment of the
@@ -266,8 +261,6 @@ def kato_solve(state0, config, t_end, dt):
     ratios exceed one for three consecutive iterates (data too large for the
     fixed-point regime).
     """
-    if config.mode != "kato":
-        raise InvalidArgument("kato_solve drives the kato mode")
     params = state0.params
     base = []
     march(state0, lambda s, first: step_stokes(s, dt, first_step=first), t_end, dt,
@@ -337,17 +330,14 @@ def improved_decay_experiment(decomp0, params, config, q, p, t_end, dt,
     state0 = init_stokes(decomp0, params)
     shadow0 = init_stokes(decomp0, params)
     times = np.geomspace(t_fit[0], t_fit[1], samples)
-    ts, base_vals, diff_vals = [], [], []
-
-    def obs(st, sh):
-        d = decomp_axpy(1.0, st.decomp, -1.0, sh.decomp)
-        ts.append(st.t)
-        base_vals.append(weighted_field_norm(st.grid, st.decomp, p, params))
-        diff_vals.append(weighted_field_norm(st.grid, d, p, params))
-
-    evolve_ns(state0, config, t_end, dt, observer=obs, observe_times=times,
+    rec = Recorder(("t", "base", "diff"), lambda st, sh: [
+        st.t,
+        weighted_field_norm(st.grid, st.decomp, p, params),
+        weighted_field_norm(st.grid, decomp_axpy(1.0, st.decomp, -1.0, sh.decomp), p, params),
+    ])
+    evolve_ns(state0, config, t_end, dt, observer=rec, observe_times=times,
               linear_shadow=shadow0)
-    base = np.sqrt(np.asarray(base_vals) ** 2 + base_tail_norm2)
-    base_fit = fit_decay(np.array(ts), base, t_fit)
-    diff_fit = fit_decay(np.array(ts), np.array(diff_vals), t_fit)
+    ts, base, diff = (np.array(rec.column(name)) for name in rec.header)
+    base_fit = fit_decay(ts, np.sqrt(base ** 2 + base_tail_norm2), t_fit)
+    diff_fit = fit_decay(ts, diff, t_fit)
     return base_fit, diff_fit

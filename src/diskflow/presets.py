@@ -275,7 +275,6 @@ def build_setup(preset, overrides=None):
     out["state"] = init_stokes(d0, params)
     if preset.experiment in ("evolve-ns", "kato"):
         out["ns_config"] = NonlinearConfig(
-            mode="imex" if preset.experiment == "evolve-ns" else "kato",
             k_max=k_max,
             n_theta=int(sections["spectral"].get("n_theta", 16)),
             kato_max_iters=int(sections["spectral"].get("kato_max_iters", 10)),

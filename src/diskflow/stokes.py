@@ -37,6 +37,7 @@ from .fields import (
     ModeDecomposition,
     RigidState,
     added_mass_pairing,
+    decomp_axpy,
     fluid_lp_norm,
     weighted_field_norm,
 )
@@ -64,16 +65,15 @@ __all__ = [
 class StokesState:
     """Evolution state: the primary z unknowns plus the spectral field.
 
-    z_higher[j] = (z for psi_{j+2} channel, z for phi_{j+2} channel).  The
+    channels is PackedStepper's block layout, one block of ScalarModeStates
+    per channel operator: ((w,), (z_psi, z_phi), (z_psi_2, z_phi_2), ...),
+    the z pairs of each higher mode k >= 2 following mode 1.  The
     decomposition is derived from the z variables on first read and kept,
     so transform/inversion consistency holds whenever it is read; a march
     that reads only the channels never inverts.  The L2 field norm is kept
     the same way."""
 
-    w_state: ScalarModeState
-    z_psi: ScalarModeState
-    z_phi: ScalarModeState
-    z_higher: tuple
+    channels: tuple
     t: float
     params: PhysicalParams
     _decomp: ModeDecomposition | None = field(default=None, compare=False, repr=False)
@@ -84,10 +84,25 @@ class StokesState:
         return self.w_state.grid
 
     @property
+    def w_state(self):
+        return self.channels[0][0]
+
+    @property
+    def z_psi(self):
+        return self.channels[1][0]
+
+    @property
+    def z_phi(self):
+        return self.channels[1][1]
+
+    @property
+    def z_higher(self):
+        return self.channels[2:]
+
+    @property
     def decomp(self):
         if self._decomp is None:
-            d = _rebuild_decomp(self.grid, self.w_state, self.z_psi, self.z_phi, self.z_higher)
-            object.__setattr__(self, "_decomp", d)
+            object.__setattr__(self, "_decomp", _rebuild_decomp(self.grid, self.channels))
         return self._decomp
 
     @property
@@ -125,7 +140,7 @@ def subsystem_params(params, kind, k=0, theta=0.5, startup_steps=2):
 
 
 def init_stokes(decomp, params, t=0.0):
-    """Build the z variables from a decomposition.
+    """Build the z variables from a decomposition (decomp_to_sources).
 
     The boundary scalars come from the rigid data (ell_z = 2*ell, the trace
     relations), the fluid parts from the stream transforms; an initial
@@ -134,18 +149,11 @@ def init_stokes(decomp, params, t=0.0):
     decomposition: a rebuild from the z variables differs when the data's
     traces do not match its rigid part.
     """
-    grid = decomp.grid
-    rig = decomp.rigid
-    zp = z_transform(StreamPair(decomp.psi, float(decomp.psi[0])), grid)
-    zf = z_transform(StreamPair(decomp.phi, float(decomp.phi[0])), grid, flip_sign=True)
-    z_psi = ScalarModeState(grid, zp.y, 2.0 * float(rig.ell[1]), t)
-    z_phi = ScalarModeState(grid, zf.y, 2.0 * float(rig.ell[0]), t)
-    w_state = ScalarModeState(grid, decomp.w, float(rig.omega), t)
-    zh = tuple(
-        (ScalarModeState(grid, zpk, 0.0, t), ScalarModeState(grid, zfk, 0.0, t))
-        for zpk, zfk in _higher_z(decomp)
+    channels = tuple(
+        tuple(ScalarModeState(decomp.grid, y, ell, t) for y, ell in block)
+        for block in decomp_to_sources(decomp)
     )
-    return StokesState(w_state, z_psi, z_phi, zh, t, params, _decomp=decomp)
+    return StokesState(channels, t, params, _decomp=decomp)
 
 
 def _higher_orders(n_high):
@@ -164,7 +172,8 @@ def _higher_z(decomp):
     return z
 
 
-def _rebuild_decomp(grid, w_state, z_psi, z_phi, z_higher):
+def _rebuild_decomp(grid, channels):
+    (w_state,), (z_psi, z_phi), *z_higher = channels
     psi_pair = invert_z(z_psi, grid)
     phi_pair = invert_z(z_phi, grid)
     higher = np.zeros((0, 2, grid.n_points))
@@ -192,26 +201,16 @@ def step_stokes(state, dt, sources=None, first_step=False, theta=0.5):
     """Advance every scalar subsystem by dt; the decomposition of the new
     state is derived when first read.
 
-    sources, if given, holds per-subsystem (fluid profile, boundary source)
-    pairs as produced by decomp_to_sources; the subsystems remain exactly
-    decoupled inside the one packed solve.
+    sources, if given, holds (fluid profile, boundary source) pairs in the
+    channel layout, as produced by decomp_to_sources; blocks beyond the
+    state's are ignored and missing ones stay unforced.  The subsystems
+    remain exactly decoupled inside the one packed solve.
     """
-    params = state.params
-    grid = state.grid
-    n_high = len(state.z_higher)
-    stepper, scheme = _packed_system(grid, params, n_high, theta)
-    channels = [(state.w_state,), (state.z_psi, state.z_phi), *state.z_higher]
-    packed_sources = None
-    if sources:
-        hsrc = tuple(sources.get("higher", ()))
-        hsrc += ((None, None),) * (n_high - len(hsrc))
-        packed_sources = [(sources.get("w"),), (sources.get("z_psi"), sources.get("z_phi")),
-                          *hsrc[:n_high]]
-    (w_state,), (z_psi, z_phi), *zh = stepper.step(
-        channels, dt, scheme.theta, scheme.startup_steps, packed_sources, first_step
+    stepper, scheme = _packed_system(state.grid, state.params, len(state.channels) - 2, theta)
+    channels = stepper.step(
+        state.channels, dt, scheme.theta, scheme.startup_steps, sources, first_step
     )
-    zh = tuple(tuple(pair) for pair in zh)
-    return StokesState(w_state, z_psi, z_phi, zh, state.t + dt, params)
+    return StokesState(tuple(map(tuple, channels)), state.t + dt, state.params)
 
 
 def evolve_stokes(state0, t_end, dt, observer=None, observe_times=None):
@@ -222,36 +221,25 @@ def evolve_stokes(state0, t_end, dt, observer=None, observe_times=None):
 
 def state_axpy(ca, a, cb=0.0, b=None):
     """Linear combination of Stokes states (all channels are linear)."""
-    from .fields import decomp_axpy
-
     if b is None:
         b = a
         cb = 0.0
     decomp = decomp_axpy(ca, a.decomp, cb, b.decomp)
-    grid = a.grid
-    t = a.t
-
-    def mix(sa, sb):
-        return ScalarModeState(grid, ca * sa.y + cb * sb.y, ca * sa.ell + cb * sb.ell, t)
-
-    zh = tuple(
-        (mix(pa, pb), mix(fa, fb))
-        for (pa, fa), (pb, fb) in zip(a.z_higher, b.z_higher)
+    channels = tuple(
+        tuple(
+            ScalarModeState(a.grid, ca * sa.y + cb * sb.y, ca * sa.ell + cb * sb.ell, a.t)
+            for sa, sb in zip(block_a, block_b)
+        )
+        for block_a, block_b in zip(a.channels, b.channels)
     )
-    return StokesState(
-        mix(a.w_state, b.w_state),
-        mix(a.z_psi, b.z_psi),
-        mix(a.z_phi, b.z_phi),
-        zh,
-        t,
-        a.params,
-        _decomp=decomp,
-    )
+    return StokesState(channels, a.t, a.params, _decomp=decomp)
 
 
 def decomp_to_sources(decomp):
-    """Transform a forcing field (e.g. the projected convection term) into
-    per-subsystem (fluid profile, boundary source) pairs.
+    """(fluid profile, boundary value) pairs of a field in the channel
+    layout of StokesState: the z variables of initial data (init_stokes), or
+    the per-subsystem sources of a forcing field such as the projected
+    convection term (step_stokes).
 
     The boundary ODEs are forced by the rigid part of the projection: the
     rotation rate feeds the w system and twice the translation components
@@ -260,12 +248,11 @@ def decomp_to_sources(decomp):
     rig = decomp.rigid
     zp = z_transform(StreamPair(decomp.psi, float(decomp.psi[0])), grid)
     zf = z_transform(StreamPair(decomp.phi, float(decomp.phi[0])), grid, flip_sign=True)
-    return {
-        "w": (decomp.w, float(rig.omega)),
-        "z_psi": (zp.y, 2.0 * float(rig.ell[1])),
-        "z_phi": (zf.y, 2.0 * float(rig.ell[0])),
-        "higher": tuple(((zpk, 0.0), (zfk, 0.0)) for zpk, zfk in _higher_z(decomp)),
-    }
+    return (
+        ((decomp.w, float(rig.omega)),),
+        ((zp.y, 2.0 * float(rig.ell[1])), (zf.y, 2.0 * float(rig.ell[0]))),
+        *(((zpk, 0.0), (zfk, 0.0)) for zpk, zfk in _higher_z(decomp)),
+    )
 
 
 def lamb_oseen_profile(grid, t, nu, M_vec):
@@ -357,72 +344,36 @@ def asymptotic_momenta(state):
     return AsymptoticMomenta(M_vec, M_phi, M_psi)
 
 
-class StokesRecorder:
+class StokesRecorder(dynbc.Recorder):
     """Observer for coupled runs: velocities, field norms, masses, profile
     errors against the self-similar dipole, and the added-mass residual."""
 
     def __init__(self, params, p_values=(2.0,), M_vec=None, profile_ps=(2.0,),
                  with_added_mass=True):
-        self.params = params
-        self.p_values = tuple(p_values)
-        self.M_vec = None if M_vec is None else np.asarray(M_vec, dtype=float)
-        self.profile_ps = tuple(profile_ps)
-        self.with_added_mass = with_added_mass
-        self.t = []
-        self.ell = []
-        self.omega = []
-        self.norms = []
-        self.profile_err = []
-        self.mass_phi = []
-        self.mass_psi = []
-        self.added_mass_resid = []
+        p_values = tuple(p_values)
+        profile_ps = tuple(profile_ps)
+        if M_vec is not None:
+            M_vec = np.asarray(M_vec, dtype=float)
+        header = ["t", "ell_x", "ell_y", "omega"]
+        header += [f"norm_L{dynbc.fmt_p(p)}" for p in p_values]
+        header += [f"profile_err_L{dynbc.fmt_p(p)}" for p in profile_ps]
+        header += ["mass_phi", "mass_psi", "added_mass_resid"]
 
-    def __call__(self, state):
-        d = state.decomp
-        self.t.append(state.t)
-        self.ell.append(np.array(d.rigid.ell))
-        self.omega.append(d.rigid.omega)
-        self.norms.append(
-            [weighted_field_norm(state.grid, d, p, self.params) for p in self.p_values]
-        )
-        if self.M_vec is not None and state.t > 0:
-            ref = lamb_oseen_profile(state.grid, state.t, self.params.nu, self.M_vec)
-            from .fields import decomp_axpy
-
-            diff = decomp_axpy(1.0, d, -1.0, ref)
-            self.profile_err.append([fluid_lp_norm(diff, p) for p in self.profile_ps])
-        else:
-            self.profile_err.append([math.nan] * len(self.profile_ps))
-        mom = asymptotic_momenta(state)
-        self.mass_phi.append(mom.M_phi)
-        self.mass_psi.append(mom.M_psi)
-        if self.with_added_mass:
-            pair = added_mass_pairing(d, 1)
-            self.added_mass_resid.append(pair + math.pi * d.rigid.ell[0])
-        else:
-            self.added_mass_resid.append(math.nan)
-
-    def header(self):
-        cols = ["t", "ell_x", "ell_y", "omega"]
-        cols += [f"norm_L{dynbc.fmt_p(p)}" for p in self.p_values]
-        cols += [f"profile_err_L{dynbc.fmt_p(p)}" for p in self.profile_ps]
-        cols += ["mass_phi", "mass_psi", "added_mass_resid"]
-        return ", ".join(cols)
-
-    def rows(self):
-        for i, t in enumerate(self.t):
-            yield [
-                t,
-                self.ell[i][0],
-                self.ell[i][1],
-                self.omega[i],
-                *self.norms[i],
-                *self.profile_err[i],
-                self.mass_phi[i],
-                self.mass_psi[i],
-                self.added_mass_resid[i],
+        def row(state):
+            d = state.decomp
+            profile_err = [math.nan] * len(profile_ps)
+            if M_vec is not None and state.t > 0:
+                ref = lamb_oseen_profile(state.grid, state.t, params.nu, M_vec)
+                diff = decomp_axpy(1.0, d, -1.0, ref)
+                profile_err = [fluid_lp_norm(diff, p) for p in profile_ps]
+            mom = asymptotic_momenta(state)
+            resid = math.nan
+            if with_added_mass:
+                resid = added_mass_pairing(d, 1) + math.pi * d.rigid.ell[0]
+            return [
+                state.t, *d.rigid.ell, d.rigid.omega,
+                *(weighted_field_norm(state.grid, d, p, params) for p in p_values),
+                *profile_err, mom.M_phi, mom.M_psi, resid,
             ]
 
-    def write(self, path, config_comment=None):
-        # header() is the already joined header line
-        dynbc.write_columns(path, [self.header()], self.rows(), config_comment)
+        super().__init__(header, row)

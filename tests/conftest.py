@@ -301,8 +301,6 @@ def ns_q32_run():
 @pytest.fixture(scope="session")
 def kato_run():
     """Successive-approximation run plus the IMEX cross-validation."""
-    from dataclasses import replace
-
     from diskflow.navier_stokes import evolve_ns, kato_solve
     from diskflow.stokes import init_stokes
 
@@ -312,8 +310,7 @@ def kato_run():
     dt = setup["time"]["dt"]
     t_end = setup["time"]["t_end"]
     states, diag = kato_solve(setup["state"], cfg, t_end, dt)
-    imex_cfg = replace(cfg, mode="imex")
-    final, _ = evolve_ns(init_stokes(setup["decomp0"], params), imex_cfg, t_end, dt)
+    final, _ = evolve_ns(init_stokes(setup["decomp0"], params), cfg, t_end, dt)
     d = decomp_axpy(1.0, final.decomp, -1.0, states[-1].decomp)
     disc = weighted_field_norm(final.grid, d, 2.0, params)
     return {"diag": diag, "imex_discrepancy": disc, "params": params}

@@ -190,7 +190,7 @@ def test_criterion_12_added_mass_identity(translating_run, neutral_run, higher_m
 def test_criterion_13_energy_inequality():
     setup = build_setup(get_preset("kato-small"))
     params = setup["params"]
-    cfg = ns.NonlinearConfig(mode="imex", k_max=2, n_theta=16)
+    cfg = ns.NonlinearConfig(k_max=2, n_theta=16)
     state = stokes.init_stokes(setup["decomp0"], params)
     E0 = ns.kinetic_energy(state)
     dt = 1.0 / 64.0

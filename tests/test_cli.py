@@ -260,3 +260,83 @@ def test_run_rejects_malformed_field_file(tmp_path, capsys):
     assert cli.main(["run", str(cfg)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err[-1].startswith("error: field file line 6")
+
+
+_RUN_KINDS = ("mode-heat", "evolve-stokes", "evolve-ns", "kato", "compare-asymptotic")
+
+
+@pytest.mark.parametrize("kind", _RUN_KINDS)
+@pytest.mark.parametrize("preset", preset_names())
+def test_every_preset_and_kind_exits_cleanly(tmp_path, capsys, preset, kind):
+    # a kind the preset cannot run is an error message, never a traceback
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(
+        f"[experiment]\nkind = {kind}\n[initial_data]\npreset = {preset}\n"
+        "[grid]\nn_points = 128\n[time]\ndt = 0.025\nt_end = 0.1\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    status = cli.main(["run", str(cfg)])
+    err = capsys.readouterr().err
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err
+    if status == 1:
+        assert err.splitlines()[-1].startswith("error: ")
+
+
+def test_kind_mismatch_names_kind_and_preset(tmp_path, capsys):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(
+        "[experiment]\nkind = evolve-ns\n[initial_data]\npreset = translating-disk\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    assert cli.main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: ") and "'evolve-ns'" in err and "'translating-disk'" in err
+
+
+def test_compare_asymptotic_needs_t10(tmp_path, capsys):
+    # the profile check compares t = 10 with t_end: shorter runs are rejected
+    cfg = tmp_path / "c.cfg"
+    out = tmp_path / "out"
+    cfg.write_text(SMALL_STOKES_CFG.format(kind="compare-asymptotic", preset="translating-disk",
+                                           t_end=3, out=out))
+    assert cli.main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: compare-asymptotic")
+    assert not (out / "stokes_series.txt").exists()
+
+
+def test_non_numeric_override(tmp_path, capsys):
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text(MODE_HEAT_CFG.format(out=tmp_path / "out").replace("n_points = 512",
+                                                                     "n_points = abc"))
+    assert cli.main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: grid.n_points = 'abc' is not a finite number"
+    )
+
+
+def _fit_cfg(tmp_path, series):
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(
+        f"[experiment]\nkind = fit-decay\n[fit]\nfile = {series}\ncolumn = norm_L2\n"
+        f"t_min = 1\nt_max = 100\n[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    return cfg
+
+
+def test_fit_decay_missing_series_file(tmp_path, capsys):
+    cfg = _fit_cfg(tmp_path, tmp_path / "absent.txt")
+    assert cli.main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: cannot read fit.file") and "absent.txt" in err
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("2.0, x1", "error: series file line 4: could not convert"),
+    ("2.0", "error: series file line 4 has 1 values for 2 columns"),
+])
+def test_fit_decay_malformed_series_row(tmp_path, capsys, bad_row, message):
+    series = tmp_path / "series.txt"
+    series.write_text(f"# comment\nt, norm_L2\n1.0, 1.0\n{bad_row}\n4.0, 0.5\n")
+    assert cli.main(["run", str(_fit_cfg(tmp_path, series))]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(message)

@@ -276,6 +276,28 @@ def test_recorder_format(tmp_path, grid):
     assert len(lines) == 2 + 5
 
 
+def test_recorder_rows_and_columns(tmp_path, grid, monkeypatch):
+    rec = dynbc.Recorder(("t", "ell", "label"), lambda st: [st.t, st.ell, f"at {st.t}"])
+    params = kick_params()
+    s = ScalarModeState(grid, np.zeros(grid.n_points), 1.0, 0.0)
+    dynbc.evolve(s, params, 1.0, 0.5, observer=rec)
+    assert len(rec.rows) == 3
+    assert rec.column("t") == [row[0] for row in rec.rows] == [0.0, 0.5, 1.0]
+    assert rec.column("ell") == [row[1] for row in rec.rows]
+    assert rec.column("label") == ["at 0.0", "at 0.5", "at 1.0"]
+    with pytest.raises(ValueError):
+        rec.column("mass")
+    written = []
+    monkeypatch.setattr(dynbc, "write_columns", lambda *args: written.append(args))
+    series = dynbc.TimeSeriesRecorder(params, (2.0,), with_mass=True)
+    series(s)
+    for r in (rec, series):
+        r.write(tmp_path / "x.txt", "cfg")
+    assert [w[1] for w in written] == [["t", "ell", "label"], ["t", "ell", "norm_p2", "mass"]]
+    assert [w[2] for w in written] == [rec.rows, series.rows]
+    assert series.column("mass") == [dynbc.mass(s, params)]
+
+
 def test_write_columns_format(tmp_path):
     path = tmp_path / "cols.txt"
     rows = [("a b", 1.5, np.float64(-2.0)), ("7", math.nan, 0.1)]

@@ -3,7 +3,6 @@
 import gc
 import math
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,8 +107,6 @@ def test_config_validation():
         ns.NonlinearConfig(k_max=8, n_theta=16)  # needs 3*k_max + 1 with dealias
     with pytest.raises(InvalidArgument):
         ns.NonlinearConfig(k_max=8, n_theta=16, dealias=False)
-    with pytest.raises(InvalidArgument):
-        ns.NonlinearConfig(mode="spectral")
     with pytest.raises(InvalidArgument):
         ns.NonlinearConfig(k_max=4, n_theta=12)  # mode 8 aliases onto mode 4
     cfg = ns.NonlinearConfig(k_max=4, n_theta=13)
@@ -256,7 +253,7 @@ def test_blowup_guard(grid, params):
 
 
 def test_kato_zero_data(grid, params):
-    cfg = ns.NonlinearConfig(mode="kato", k_max=2, n_theta=16, kato_tol=1e-14)
+    cfg = ns.NonlinearConfig(k_max=2, n_theta=16, kato_tol=1e-14)
     st = stokes.init_stokes(zero_decomposition(grid, 2), params)
     states, diag = ns.kato_solve(st, cfg, 0.5, 1.0 / 16)
     assert diag.converged
@@ -265,7 +262,7 @@ def test_kato_zero_data(grid, params):
 
 
 def test_kato_contracts_and_matches_imex(grid, params):
-    cfg = ns.NonlinearConfig(mode="kato", k_max=2, n_theta=16,
+    cfg = ns.NonlinearConfig(k_max=2, n_theta=16,
                              kato_max_iters=8, kato_tol=1e-12)
     d = mode1_bump(grid, 1e-2)
     states, diag = ns.kato_solve(stokes.init_stokes(d, params), cfg, 0.5, 1.0 / 32)
@@ -276,8 +273,7 @@ def test_kato_contracts_and_matches_imex(grid, params):
     G = diag.G_n
     for n in range(len(G) - 1):
         assert G[n + 1] <= G[0] + 2.0 * diag.c0_estimate * G[n] ** 2 + 1e-12
-    imex = replace(cfg, mode="imex")
-    final, _ = ns.evolve_ns(stokes.init_stokes(d, params), imex, 0.5, 1.0 / 32)
+    final, _ = ns.evolve_ns(stokes.init_stokes(d, params), cfg, 0.5, 1.0 / 32)
     gap = weighted_field_norm(
         grid, decomp_axpy(1.0, final.decomp, -1.0, states[-1].decomp), 2.0, params
     )
@@ -285,21 +281,11 @@ def test_kato_contracts_and_matches_imex(grid, params):
 
 
 def test_kato_no_contraction_for_large_data(grid, params):
-    cfg = ns.NonlinearConfig(mode="kato", k_max=2, n_theta=16,
+    cfg = ns.NonlinearConfig(k_max=2, n_theta=16,
                              kato_max_iters=10, kato_tol=1e-14, cfl_check=False)
     d = mode1_bump(grid, 30.0)
     with pytest.raises((NoContraction, BlowUp)):
         ns.kato_solve(stokes.init_stokes(d, params), cfg, 0.5, 1.0 / 32)
-
-
-def test_mode_guard_errors(grid, params):
-    cfg = ns.NonlinearConfig(mode="kato", k_max=2, n_theta=16)
-    st = stokes.init_stokes(zero_decomposition(grid, 2), params)
-    with pytest.raises(InvalidArgument):
-        ns.step_ns(st, cfg, 0.1)
-    imex = ns.NonlinearConfig(mode="imex", k_max=2, n_theta=16)
-    with pytest.raises(InvalidArgument):
-        ns.kato_solve(st, imex, 0.5, 0.1)
 
 
 def test_improved_decay_q2_no_gain(grid, params):
@@ -356,7 +342,7 @@ def test_step_ns_reuses_guard_norm(grid, params, monkeypatch):
 
 
 def test_kato_solve_rejects_past_end(grid, params):
-    cfg = ns.NonlinearConfig(mode="kato", k_max=2, n_theta=16)
+    cfg = ns.NonlinearConfig(k_max=2, n_theta=16)
     st = stokes.init_stokes(mode1_bump(grid, 1e-2), params, t=1.0)
     with pytest.raises(InvalidArgument):
         ns.kato_solve(st, cfg, 0.5, 0.05)

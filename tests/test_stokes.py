@@ -350,25 +350,65 @@ def test_packed_step_matches_dense_channels():
         if rng.integers(2):
             sources = stokes.decomp_to_sources(random_decomposition(grid, rng, k_max))
         new = stokes.step_stokes(state, dt, sources=sources, first_step=first_step, theta=theta)
-        src = sources or {}
-        hsrc = src.get("higher", ((None, None),) * (k_max - 1))
-        z1 = stokes.subsystem_params(params, "z1", theta=theta)
+        ops = [stokes.subsystem_params(params, "w", theta=theta),
+               stokes.subsystem_params(params, "z1", theta=theta)]
+        ops += [stokes.subsystem_params(params, "higher", k=k, theta=theta)
+                for k in range(2, k_max + 1)]
+        assert len(ops) == len(state.channels) == len(new.channels)
         channels = [
-            (state.w_state, new.w_state, stokes.subsystem_params(params, "w", theta=theta),
-             src.get("w")),
-            (state.z_psi, new.z_psi, z1, src.get("z_psi")),
-            (state.z_phi, new.z_phi, z1, src.get("z_phi")),
+            (before, after, p, None if sources is None else sources[b][c])
+            for b, p in enumerate(ops)
+            for c, (before, after) in enumerate(zip(state.channels[b], new.channels[b]))
         ]
-        for j, (zpk, zfk) in enumerate(state.z_higher):
-            p_k = stokes.subsystem_params(params, "higher", k=j + 2, theta=theta)
-            channels.append((zpk, new.z_higher[j][0], p_k, hsrc[j][0]))
-            channels.append((zfk, new.z_higher[j][1], p_k, hsrc[j][1]))
+        assert len(channels) == 2 * k_max + 1
         for before, after, p, s in channels:
             y, ell = dense_channel_step(before, p, dt, source=s, first_step=first_step)
             scale = max(np.max(np.abs(y)), abs(ell), 1e-300)
             assert np.max(np.abs(after.y - y)) <= 1e-12 * scale
             assert abs(after.ell - ell) <= 1e-12 * scale
             assert after.t == before.t + dt
+
+
+def _same_channels(a, b):
+    """Two channel layouts hold the same (y, ell) pairs, bit for bit."""
+    assert len(a) == len(b)
+    for block_a, block_b in zip(a, b):
+        assert len(block_a) == len(block_b)
+        for (ya, la), (yb, lb) in zip(block_a, block_b):
+            assert np.array_equal(ya, yb) and la == lb
+
+
+def _pairs(channels):
+    return [[(z.y, z.ell) for z in block] for block in channels]
+
+
+def test_init_channels_are_the_source_layout(grid, params):
+    d = random_decomposition(grid, np.random.default_rng(21), k_max=4)
+    st = stokes.init_stokes(d, params, t=0.5)
+    _same_channels(_pairs(st.channels), stokes.decomp_to_sources(d))
+    assert [len(block) for block in st.channels] == [1, 2, 2, 2, 2]
+    assert all(z.t == 0.5 for block in st.channels for z in block)
+
+
+def test_sources_with_fewer_modes_leave_the_extra_modes_unforced(grid, params):
+    rng = np.random.default_rng(22)
+    st = stokes.init_stokes(random_decomposition(grid, rng, k_max=4), params)
+    sources = stokes.decomp_to_sources(random_decomposition(grid, rng, k_max=2))
+    forced = stokes.step_stokes(st, 0.05, sources=sources, first_step=True)
+    plain = stokes.step_stokes(st, 0.05, first_step=True)
+    n = len(sources)
+    _same_channels(_pairs(forced.channels[n:]), _pairs(plain.channels[n:]))
+    assert not np.array_equal(forced.z_phi.y, plain.z_phi.y)
+
+
+def test_sources_beyond_the_state_modes_are_ignored(grid, params):
+    rng = np.random.default_rng(23)
+    st = stokes.init_stokes(random_decomposition(grid, rng, k_max=2), params)
+    sources = stokes.decomp_to_sources(random_decomposition(grid, rng, k_max=5))
+    assert len(sources) > len(st.channels)
+    full = stokes.step_stokes(st, 0.05, sources=sources)
+    cut = stokes.step_stokes(st, 0.05, sources=sources[:len(st.channels)])
+    _same_channels(_pairs(full.channels), _pairs(cut.channels))
 
 
 def _decomp_arrays(d):
@@ -381,7 +421,7 @@ def _assert_same_decomp(a, b):
 
 
 def _eager_decomp(st):
-    return stokes._rebuild_decomp(st.grid, st.w_state, st.z_psi, st.z_phi, st.z_higher)
+    return stokes._rebuild_decomp(st.grid, st.channels)
 
 
 @pytest.fixture
@@ -433,7 +473,8 @@ def test_evolve_stokes_rebuilds_per_observation(params, rebuilds):
     rec = stokes.StokesRecorder(params)
     final = stokes.evolve_stokes(setup["state"], 3.0, 0.05, observer=rec, observe_times=times)
     final.decomp
-    assert len(rec.t) == len(times)
+    assert len(rec.rows) == len(times)
+    assert np.allclose(rec.column("t"), times)
     assert len(rebuilds) <= len(times) + 1
 
 
@@ -453,8 +494,7 @@ def test_lazy_decomposition_property():
     hst = hyp.strategies
 
     def channels(st):
-        zs = [st.w_state, st.z_psi, st.z_phi, *(z for pair in st.z_higher for z in pair)]
-        return [(z.y, z.ell, z.t) for z in zs]
+        return [(z.y, z.ell, z.t) for block in st.channels for z in block]
 
     def check_lazy(st):
         _assert_same_decomp(st.decomp, _eager_decomp(st))
