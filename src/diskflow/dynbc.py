@@ -118,6 +118,16 @@ class ScalarModeState:
         object.__setattr__(self, "y", y)
 
 
+def _solved_state(grid, y, t):
+    """ScalarModeState over a read-only row y of a checked solve, as is.
+
+    The caller has already checked every entry finite, so this skips the
+    public constructor's copy and scan; ell is the trace y[0]."""
+    state = object.__new__(ScalarModeState)
+    state.__dict__.update(grid=grid, y=y, ell=float(y[0]), t=t)
+    return state
+
+
 class PackedStepper:
     """Theta-method system of several scalar channel operators, solved as one.
 
@@ -250,12 +260,11 @@ class PackedStepper:
             raise SolverFailure("non-finite values after implicit step")
         out = []
         for (s, e, lo, _), states in zip(self.blocks, channels):
-            new = []
-            for c, st in enumerate(states):
-                y = np.zeros(grid.n_points)
-                y[lo:-1] = u[c, s:e]
-                new.append(ScalarModeState(grid, y, float(y[0]), st.t + dt))
-            out.append(new)
+            # one fresh read-only array per block; its rows are the channels
+            y = np.zeros((len(states), grid.n_points))
+            y[:, lo:-1] = u[:len(states), s:e]
+            y.flags.writeable = False
+            out.append([_solved_state(grid, row, st.t + dt) for row, st in zip(y, states)])
         return out
 
 

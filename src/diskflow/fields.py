@@ -359,11 +359,15 @@ def extract_rigid(decomp):
 def _banded_spd_solve(ab_factor, scale, rhs, ab_full):
     """Solve for the rows of rhs with a cached Cholesky of the Jacobi-scaled
     banded matrix, plus one step of iterative refinement for roundoff-level
-    accuracy."""
-    x = scale * cho_solve_banded((ab_factor, False), (scale * rhs).T).T
+    accuracy.  The factor is finite by construction, so scipy's input scan
+    is skipped and the refined result is checked instead."""
+    x = scale * cho_solve_banded((ab_factor, False), (scale * rhs).T, check_finite=False).T
     # one refinement pass: r = rhs - N x with the banded matvec
     res = rhs - _banded_matvec(ab_full, x)
-    return x + scale * cho_solve_banded((ab_factor, False), (scale * res).T).T
+    x = x + scale * cho_solve_banded((ab_factor, False), (scale * res).T, check_finite=False).T
+    if not np.all(np.isfinite(x)):
+        raise SolverFailure("non-finite values after the Leray solve")
+    return x
 
 
 def _banded_matvec(ab, x):

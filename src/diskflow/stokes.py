@@ -191,7 +191,13 @@ def _packed_system(grid, params, n_high, theta):
     """Every distinct channel operator in one packed system: w, the mode-1
     operator shared by z_psi and z_phi, then one operator per higher mode
     shared by its two channels.  Returns the stepper and the (validated)
-    parameters of the w channel, which carry the common time scheme."""
+    parameters of the w channel, which carry the common time scheme; both
+    are memoized on the grid, so a march validates its parameters once."""
+    return grid.memo(("stokes", params, n_high, theta), _build_packed_system,
+                     grid, params, n_high, theta)
+
+
+def _build_packed_system(grid, params, n_high, theta):
     ops = [subsystem_params(params, "w", theta=theta), subsystem_params(params, "z1", theta=theta)]
     ops += [subsystem_params(params, "higher", k=k, theta=theta) for k in range(2, n_high + 2)]
     return dynbc.packed_stepper(grid, ops), ops[0]

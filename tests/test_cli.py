@@ -1,6 +1,7 @@
 """Command-line harness: configs, outputs, determinism, exit codes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,26 @@ def test_every_preset_and_kind_exits_cleanly(tmp_path, capsys, preset, kind):
     assert "Traceback" not in err
     if status == 1:
         assert err.splitlines()[-1].startswith("error: ")
+
+
+def test_translation_ratio_along_y_momentum(tmp_path):
+    # ns-small-q32 translates along y (M_vec = (0, My)): the ratio divides by
+    # the nonzero component and says so
+    cfg = tmp_path / "y.cfg"
+    out = tmp_path / "out"
+    cfg.write_text(
+        "[experiment]\nkind = evolve-stokes\n[initial_data]\npreset = ns-small-q32\n"
+        "[grid]\nn_points = 128\n[time]\ndt = 0.025\nt_end = 0.1\n"
+        f"[output]\ndir = {out}\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cli.main(["run", str(cfg)])
+    (line,) = [ln for ln in (out / "summary.txt").read_text().splitlines()
+               if ln.startswith("translation_ratio")]
+    label, value = line.split(" = ")
+    assert label == "translation_ratio 8*pi*nu*t*ell_y/My"
+    assert math.isfinite(float(value))
 
 
 def test_kind_mismatch_names_kind_and_preset(tmp_path, capsys):

@@ -425,6 +425,18 @@ def test_nonfinite_source_rejected(grid):
         dynbc.step(s, params, 0.1, source=(fluid, 0.0))
 
 
+def test_stepped_state_is_read_only_and_public_states_copy(grid):
+    y = np.exp(-grid.nodes)
+    s = ScalarModeState(grid, y, 1.0, 0.0)
+    assert not np.shares_memory(s.y, y) and not s.y.flags.writeable
+    new = dynbc.step(s, kick_params(), 0.1)
+    assert not new.y.flags.writeable and new.ell == new.y[0]
+    with pytest.raises(ValueError):
+        new.y[0] = 0.0
+    with pytest.raises(InvalidArgument):
+        ScalarModeState(grid, np.full(grid.n_points, np.nan), 0.0, 0.0)
+
+
 def test_params_validation():
     with pytest.raises(InvalidArgument):
         DynBCParams(k=2, alpha_tilde=1.0, variant="dynamic")

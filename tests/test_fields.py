@@ -13,6 +13,7 @@ from diskflow.errors import (
     InsufficientAngularResolution,
     InvalidArgument,
     NotDivergenceFree,
+    SolverFailure,
 )
 from diskflow.grid import PhysicalParams, build_grid
 
@@ -422,3 +423,11 @@ def test_load_field_file_rejects_malformed(tmp_path, grid, case):
         F.load_field_file(path)
     with pytest.raises(InvalidArgument):
         F.load_field_file(path, grid)
+
+
+def test_project_leray_rejects_nonfinite_field(grid, params):
+    f = random_polar_field(grid, np.random.default_rng(31))[0]
+    vr = f.v_r.copy()
+    vr[grid.n_points // 3, 5] = np.nan
+    with pytest.raises(SolverFailure):
+        F.project_leray(F.PolarField(grid, vr, f.v_theta), params, 4)

@@ -10,7 +10,8 @@ from oracles import dense_channel_step
 
 from diskflow import stokes
 from diskflow.elliptic import StreamPair, z_transform
-from diskflow.errors import NonpositiveTime
+from diskflow.dynbc import DynBCParams
+from diskflow.errors import NonpositiveTime, SolverFailure
 from diskflow.fields import (
     ModeDecomposition,
     RigidState,
@@ -409,6 +410,49 @@ def test_sources_beyond_the_state_modes_are_ignored(grid, params):
     full = stokes.step_stokes(st, 0.05, sources=sources)
     cut = stokes.step_stokes(st, 0.05, sources=sources[:len(st.channels)])
     _same_channels(_pairs(full.channels), _pairs(cut.channels))
+
+
+def test_stepped_channels_are_read_only_and_unshared(grid, params):
+    st = stokes.init_stokes(random_decomposition(grid, np.random.default_rng(24), k_max=4), params)
+    st = stokes.step_stokes(st, 0.05, first_step=True)
+    states = [z for block in st.channels for z in block]
+    assert len(states) == 9
+    for z in states:
+        assert not z.y.flags.writeable
+        with pytest.raises(ValueError):
+            z.y[1] = 1.0
+    for i, a in enumerate(states):
+        for b in states[i + 1:]:
+            assert not np.shares_memory(a.y, b.y)
+
+
+def test_march_validates_parameters_on_its_first_step_only(params, monkeypatch):
+    grid = build_grid(96, 12.0, 1.0)  # a fresh grid: nothing memoized on it yet
+    state0 = stokes.init_stokes(random_decomposition(grid, np.random.default_rng(25), 4), params)
+    built = []
+    inner = DynBCParams.__post_init__
+
+    def counted(self):
+        built.append(self)
+        inner(self)
+
+    monkeypatch.setattr(DynBCParams, "__post_init__", counted)
+    after_step = []
+    stokes.evolve_stokes(state0, 20 * 0.05, 0.05, observer=lambda st: after_step.append(len(built)))
+    assert len(after_step) == 21
+    assert after_step[0] == 0 and after_step[1] == 5  # w, mode 1, modes 2..4
+    assert after_step[-1] == after_step[1]
+
+
+def test_nonfinite_stokes_source_rejected(grid, params):
+    rng = np.random.default_rng(26)
+    st = stokes.init_stokes(random_decomposition(grid, rng, k_max=3), params)
+    sources = [list(block) for block in stokes.decomp_to_sources(random_decomposition(grid, rng, 3))]
+    fluid = sources[2][1][0].copy()
+    fluid[grid.n_points // 2] = np.nan
+    sources[2][1] = (fluid, 0.0)
+    with pytest.raises(SolverFailure):
+        stokes.step_stokes(st, 0.05, sources=sources)
 
 
 def _decomp_arrays(d):
