@@ -356,37 +356,21 @@ def extract_rigid(decomp):
 # Leray projection
 # ---------------------------------------------------------------------------
 
-def _banded_spd_solve(ab_factor, scale, rhs, ab_full):
+def _banded_spd_solve(ab_factor, scale, rhs):
     """Solve for the rows of rhs with a cached Cholesky of the Jacobi-scaled
-    banded matrix, plus one step of iterative refinement for roundoff-level
-    accuracy.  The factor is finite by construction, so scipy's input scan
-    is skipped and the refined result is checked instead."""
+    banded matrix.  The factor is finite by construction, so scipy's input
+    scan is skipped and the result is checked instead."""
     x = scale * cho_solve_banded((ab_factor, False), (scale * rhs).T, check_finite=False).T
-    # one refinement pass: r = rhs - N x with the banded matvec
-    res = rhs - _banded_matvec(ab_full, x)
-    x = x + scale * cho_solve_banded((ab_factor, False), (scale * res).T, check_finite=False).T
     if not np.all(np.isfinite(x)):
         raise SolverFailure("non-finite values after the Leray solve")
     return x
-
-
-def _banded_matvec(ab, x):
-    """y = N x for a symmetric banded matrix in upper `solveh_banded` form,
-    applied to each row of x."""
-    nband = ab.shape[0] - 1
-    y = ab[-1] * x
-    for d in range(1, nband + 1):
-        up = ab[-1 - d]
-        y[:, :-d] += up[d:] * x[:, d:]
-        y[:, d:] += up[d:] * x[:, :-d]
-    return y
 
 
 def _leray_operator(grid, coupling, k, drop_first):
     """Normal matrix of the per-mode least squares, memoized on the grid:
     N = k^2 diag(w/r^2) + D^T diag(w) D (+ coupling * e0 e0^T),
     optionally with the first row/column eliminated (higher modes).
-    Returns (banded N, Cholesky factor of its Jacobi scaling, the scaling)."""
+    Returns (Cholesky factor of the Jacobi-scaled banded N, the scaling)."""
     return grid.memo(("leray", float(coupling), int(k), bool(drop_first)),
                      _build_leray_operator, grid, coupling, k, drop_first)
 
@@ -413,16 +397,14 @@ def _build_leray_operator(grid, coupling, k, drop_first):
     upper = N.col >= N.row
     np.add.at(ab, (bw - (N.col - N.row)[upper], N.col[upper]), N.data[upper])
     scale = 1.0 / np.sqrt(ab[-1])
-    ab_scaled = ab * scale[None, :]
-    for d in range(bw):
-        row = ab_scaled[d]
-        row[bw - d:] *= scale[: nn - (bw - d)]
-    ab_scaled[-1] *= scale
+    ab *= scale[None, :]
+    for d in range(bw + 1):
+        ab[d, bw - d:] *= scale[: nn - (bw - d)]
     try:
-        fac = cholesky_banded(ab_scaled, lower=False)
+        fac = cholesky_banded(ab, lower=False)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure("per-mode projection system is singular") from exc
-    return ab, fac, scale
+    return fac, scale
 
 
 def project_leray(field, params, k_max=None, ball_ell=(0.0, 0.0), ball_omega=0.0):
@@ -433,8 +415,9 @@ def project_leray(field, params, k_max=None, ball_ell=(0.0, 0.0), ball_omega=0.0
     the (radial, tangential) harmonics, with the translation trace coupled to
     the ball for the first mode; the mode-0 tangential profile and the ball
     rotation pass through unchanged and the mode-0 radial part (a pure
-    gradient) is discarded.  Idempotent, self-adjoint and the identity on
-    already-admissible fields, all to solver roundoff.
+    gradient) is discarded.  Each mode takes one Jacobi-scaled banded
+    Cholesky solve, without refinement.  Idempotent, self-adjoint and the
+    identity on already-admissible fields, all to solver roundoff.
 
     Both channels of a mode share its normal matrix: the psi channel fits
     the embedding (k s/r, Ds, s(1)) to (b_r, a_t, ell_y), the phi channel
@@ -462,16 +445,15 @@ def project_leray(field, params, k_max=None, ball_ell=(0.0, 0.0), ball_omega=0.0
     # right-hand sides (channel, mode, node): channels psi, phi of modes 1..K
     radial = np.stack([br[1:], ar[1:]])
     tangential = np.stack([at[1:], bt[1:]]).reshape(2 * k_max, n)
-    D = grid.ddr_matrix()
     rhs = sgn * k * (w / r) * radial
-    rhs += (D.T @ (w * tangential).T).T.reshape(2, k_max, n)
+    rhs += (grid.ddr_matrix_t() @ (w * tangential).T).T.reshape(2, k_max, n)
     coupling = params.m / math.pi
     rhs[:, 0, 0] += coupling * np.array([ball_ell[1], -ball_ell[0]])  # traces psi(1), -phi(1)
     prof = np.zeros((2, k_max, n))
     for j in range(k_max):
         first = 0 if j == 0 else 1  # higher modes pin s(1) = 0
-        ab, fac, scale = _leray_operator(grid, coupling if j == 0 else 0.0, j + 1, first == 1)
-        prof[:, j, first:] = _banded_spd_solve(fac, scale, rhs[:, j, first:], ab)
+        fac, scale = _leray_operator(grid, coupling if j == 0 else 0.0, j + 1, first == 1)
+        prof[:, j, first:] = _banded_spd_solve(fac, scale, rhs[:, j, first:])
     psi, phi = prof[0, 0], prof[1, 0]
     rigid = RigidState(np.array([-phi[0], psi[0]]), float(ball_omega))
     return ModeDecomposition(grid, at[0], psi, phi, prof[:, 1:].transpose(1, 0, 2), rigid)

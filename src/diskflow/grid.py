@@ -142,6 +142,10 @@ class RadialGrid:
         built once and cached (the grid is immutable)."""
         return self.memo(("ddr_matrix",), self._build_ddr_matrix)
 
+    def ddr_matrix_t(self):
+        """The transposed stencil (CSC), cached like ddr_matrix."""
+        return self.memo(("ddr_matrix_t",), lambda: self.ddr_matrix().T)
+
     def _build_ddr_matrix(self):
         from scipy import sparse
 

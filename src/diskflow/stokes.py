@@ -231,14 +231,19 @@ def state_axpy(ca, a, cb=0.0, b=None):
         b = a
         cb = 0.0
     decomp = decomp_axpy(ca, a.decomp, cb, b.decomp)
-    channels = tuple(
+    return StokesState(_channels_axpy(ca, a, cb, b), a.t, a.params, _decomp=decomp)
+
+
+def _channels_axpy(ca, a, cb, b):
+    """The channels of state_axpy(ca, a, cb, b) alone, at a.t: enough for a
+    state that only step_stokes reads, with no decomposition to combine."""
+    return tuple(
         tuple(
             ScalarModeState(a.grid, ca * sa.y + cb * sb.y, ca * sa.ell + cb * sb.ell, a.t)
             for sa, sb in zip(block_a, block_b)
         )
         for block_a, block_b in zip(a.channels, b.channels)
     )
-    return StokesState(channels, a.t, a.params, _decomp=decomp)
 
 
 def decomp_to_sources(decomp):

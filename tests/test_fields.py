@@ -249,6 +249,48 @@ def test_leray_idempotent_self_adjoint_random(grid, params):
         assert math.sqrt(F.inner_l2(diff, diff, params)) < 1e-10 * norm
 
 
+def test_leray_properties_on_production_grid(params):
+    # criterion 11's bound on the ns-small-q32 grid, where each mode is one
+    # banded Cholesky solve of size 4096 with no refinement pass
+    grid = build_grid(4096, 300.0, 1.0)
+    K, nth = 4, 16
+    for seed in range(3):
+        fa, (ella, oma) = random_polar_field(grid, np.random.default_rng(seed), nth, K)
+        fb, (ellb, omb) = random_polar_field(grid, np.random.default_rng(seed + 50), nth, K)
+        pa = F.project_leray(fa, params, K, ella, oma)
+        pb = F.project_leray(fb, params, K, ellb, omb)
+        na = math.sqrt(F.inner_l2(pa, pa, params))
+        nb = math.sqrt(F.inner_l2(pb, pb, params))
+        ra = F.reconstruct(pa, nth)
+        rb = F.reconstruct(pb, nth)
+        paa = F.project_leray(ra, params, K, pa.rigid.ell, pa.rigid.omega)
+        diff = F.decomp_axpy(1.0, paa, -1.0, pa)
+        assert math.sqrt(F.inner_l2(diff, diff, params)) <= 1e-10 * na
+        lhs = polar_inner(ra, fb, params, (pa.rigid.ell, pa.rigid.omega), (ellb, omb))
+        rhs = polar_inner(fa, rb, params, (ella, oma), (pb.rigid.ell, pb.rigid.omega))
+        assert abs(lhs - rhs) <= 1e-10 * na * nb
+        d = random_decomposition(grid, np.random.default_rng(seed + 100), k_max=K)
+        pd = F.project_leray(F.reconstruct(d, nth), params, K, d.rigid.ell, d.rigid.omega)
+        diff = F.decomp_axpy(1.0, pd, -1.0, d)
+        assert math.sqrt(F.inner_l2(diff, diff, params)) <= 1e-10 * math.sqrt(F.inner_l2(d, d, params))
+
+
+def test_project_leray_one_solve_per_mode(grid, params, monkeypatch):
+    calls = []
+    inner = F.cho_solve_banded
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(F, "cho_solve_banded", counted)
+    f, (ell, om) = random_polar_field(grid, np.random.default_rng(3), 16, 4)
+    F.project_leray(f, params, 4, ell, om)
+    # one two-column solve (psi and phi channels) per mode
+    assert len(calls) == 4
+    assert all(shape[1] == 2 for shape in calls)
+
+
 def test_kirchhoff_field(grid, params):
     xi1 = F.kirchhoff_test_field(grid, 1)
     r = grid.nodes

@@ -25,6 +25,7 @@ from diskflow.fields import (
     zero_decomposition,
 )
 from diskflow.grid import PhysicalParams, build_grid
+from diskflow.presets import build_setup, get_preset
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +279,27 @@ def test_kato_contracts_and_matches_imex(grid, params):
         grid, decomp_axpy(1.0, final.decomp, -1.0, states[-1].decomp), 2.0, params
     )
     assert gap <= 1e-3
+
+
+def test_kato_forcing_states_skip_decomp_axpy(monkeypatch):
+    # step_stokes reads channels only, so the forced state of each Kato step
+    # combines no decomposition: what is left is the zero state, then per
+    # iterate one call per new state and one per difference to the previous
+    calls = []
+    inner = fields.decomp_axpy
+
+    def counted(*args):
+        calls.append(None)
+        return inner(*args)
+
+    for mod in (fields, stokes, ns):
+        monkeypatch.setattr(mod, "decomp_axpy", counted)
+    setup = build_setup(get_preset("kato-small"))
+    t_end, dt = setup["time"]["t_end"], setup["time"]["dt"]
+    states, diag = ns.kato_solve(setup["state"], setup["ns_config"], t_end, dt)
+    iterates, steps = len(diag.G_n) - 1, len(states) - 1
+    assert (iterates, steps) == (4, 64)
+    assert len(calls) == 1 + iterates * (steps + steps + 1)
 
 
 def test_kato_no_contraction_for_large_data(grid, params):
