@@ -41,16 +41,12 @@ def stokes_series(name, value):
 def main():
     rows = []
     setup = build_setup(get_preset("w-bump-k1"))
-    params = setup["scalar_params"]
-    st = setup["scalar_state"]
-    ts, om = [], []
-    n_steps = int(round(100.0 / setup["time"]["dt"]))
-    for j in range(n_steps):
-        st = dynbc.step(st, params, setup["time"]["dt"], first_step=(j == 0))
-        if j % 20 == 0 and st.t >= 10.0:
-            ts.append(st.t)
-            om.append(abs(st.ell))
-    rows.append(("angular velocity", fit_decay(np.array(ts), np.array(om), (10, 100)).exponent, -2.0))
+    rec = dynbc.Recorder(("t", "omega"), lambda st: [st.t, abs(st.ell)])
+    # every 20th state from t = 10 on
+    dynbc.evolve(setup["scalar_state"], setup["scalar_params"], 100.0, setup["time"]["dt"],
+                 observer=rec, observe_times=0.02 + 0.4 * np.arange(25, 250))
+    ts, om = (np.array(rec.column(name)) for name in rec.header)
+    rows.append(("angular velocity", fit_decay(ts, om, (10, 100)).exponent, -2.0))
 
     ts, vals = stokes_series("translating-disk", "norm")
     rows.append(("field norm, M != 0", fit_decay(ts, vals, (10, 100)).exponent, -0.5))

@@ -53,7 +53,6 @@ from .stokes import (
     asymptotic_momenta,
     evolve_stokes,
     init_stokes,
-    lamb_oseen_disk_profile,
     lamb_oseen_profile,
     reconstruct_trajectory,
     recover_mode1_pressure,

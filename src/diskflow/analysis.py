@@ -30,9 +30,6 @@ __all__ = [
     "fit_decay",
     "expected_exponent",
     "profile_error",
-    "theta_rate",
-    "rate_r1",
-    "rate_r2",
 ]
 
 
@@ -154,26 +151,6 @@ def expected_exponent(kind, p=None, q=None, regime="long"):
             return ExpectedRate(-(1.0 - 1.0 / p), log_correction=True)
         return ExpectedRate(-(2.0 / q - 0.5 - 1.0 / p))
     raise InvalidArgument(f"unknown kind {kind!r}")
-
-
-def theta_rate(n, p):
-    """Sobolev bookkeeping exponent (n/2)(p-1)(p-n) / (p(2p + n(p-1)))."""
-    return 0.5 * n * (p - 1.0) * (p - n) / (p * (2.0 * p + n * (p - 1.0)))
-
-
-def rate_r1(t, p, n=2):
-    """Self-similar profile convergence rate: (|log t| + 1) t^(-1/2) for
-    p <= 2, with the extra theta exponent for p >= 2 (delta_{n,2} log)."""
-    logf = (abs(math.log(t)) if n == 2 else 0.0) + 1.0
-    if p <= 2:
-        return logf * t**-0.5
-    return logf * t ** (-0.5 + theta_rate(n, p))
-
-
-def rate_r2(t, n=2):
-    """Boundary-value convergence rate (|log t|^(1/2) + 1) t^(-1/(n+2))."""
-    logf = (math.sqrt(abs(math.log(t))) if n == 2 else 0.0) + 1.0
-    return logf * t ** (-1.0 / (n + 2.0))
 
 
 def profile_error(state, reference, p):

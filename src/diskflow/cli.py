@@ -92,8 +92,10 @@ def _float_overrides(cfg, section, keys):
 
 def _setup_from_config(cfg):
     exp = cfg["experiment"]
+    if "inertia" in cfg.get("physical", {}):
+        raise ConfigError("physical.inertia cannot be set: the disk is homogeneous, inertia = m/2")
     overrides = {
-        "physical": _float_overrides(cfg, "physical", ("nu", "m", "inertia")),
+        "physical": _float_overrides(cfg, "physical", ("nu", "m")),
         "grid": _float_overrides(cfg, "grid", ("n_points", "r_max", "stretch")),
         "time": _float_overrides(cfg, "time", ("dt", "t_end", "output_ratio")),
         "spectral": _float_overrides(

@@ -53,7 +53,6 @@ __all__ = [
     "inner_l2",
     "weighted_field_norm",
     "fluid_lp_norm",
-    "component_norms",
     "added_mass_pairing",
     "save_field_file",
     "load_field_file",
@@ -598,36 +597,6 @@ def weighted_field_norm(grid, decomp, p, params):
         return max(fluid_lp_norm(decomp, p), ball)
     fluid = fluid_lp_norm(decomp, p) ** p
     return (fluid + (params.m / math.pi) * ball) ** (1.0 / p)
-
-
-def component_norms(decomp, p, params=None):
-    """Sum of the component norms: profiles in L^p(r dr) over (0, inf) with
-    their constant ball extensions, plus the remainder field norm."""
-    grid = decomp.grid
-    r = grid.nodes
-    rig = decomp.rigid
-    ell1, ell2 = -rig.ell[0], rig.ell[1]
-
-    def prof_norm(vals, ball_value):
-        if np.isinf(p):
-            return max(float(np.abs(vals).max()), abs(ball_value))
-        fluid = float(np.sum(grid.quad_weights * np.abs(vals) ** p))
-        return (fluid + abs(ball_value) ** p / 2.0) ** (1.0 / p)
-
-    total = prof_norm(decomp.w, rig.omega)
-    total += prof_norm(grid.ddr(decomp.psi), ell2) + prof_norm(decomp.psi / r, ell2)
-    total += prof_norm(grid.ddr(decomp.phi), ell1) + prof_norm(decomp.phi / r, ell1)
-    if decomp.k_max > 1:
-        rem = ModeDecomposition(
-            grid,
-            np.zeros_like(decomp.w),
-            np.zeros_like(decomp.psi),
-            np.zeros_like(decomp.phi),
-            decomp.higher,
-            RigidState(np.zeros(2)),
-        )
-        total += fluid_lp_norm(rem, p)
-    return total
 
 
 def added_mass_pairing(decomp, direction=1, tail_closure=True):

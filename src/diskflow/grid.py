@@ -239,9 +239,8 @@ def lp_norm_radial(grid, values, p):
 class PhysicalParams:
     """Viscosity and disk data.
 
-    The disk is homogeneous by default, which pins the moment of inertia to
-    m/2.  Passing homogeneous=False allows a radially symmetric density with
-    an independent inertia (the mode systems are unchanged).
+    The disk is homogeneous: its moment of inertia is m/2, which the ball
+    terms of inner_l2, the weighted norms and kinetic_energy assume.
 
     alpha0 is the boundary coupling of the transformed mode-1 systems,
     alpha_w the coupling of the mode-0 tangential system.
@@ -249,18 +248,16 @@ class PhysicalParams:
 
     nu: float = 1.0
     m: float = math.pi
-    inertia: float | None = None
-    homogeneous: bool = True
 
     def __post_init__(self):
         if self.nu <= 0:
             raise InvalidArgument(f"nu must be > 0, got {self.nu}")
         if self.m <= 0:
             raise InvalidArgument(f"m must be > 0, got {self.m}")
-        if self.inertia is None or self.homogeneous:
-            object.__setattr__(self, "inertia", self.m / 2.0)
-        if self.inertia <= 0:
-            raise InvalidArgument(f"inertia must be > 0, got {self.inertia}")
+
+    @property
+    def inertia(self):
+        return self.m / 2.0
 
     @property
     def alpha0(self):

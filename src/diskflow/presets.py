@@ -201,8 +201,6 @@ def build_setup(preset, overrides=None):
     params = PhysicalParams(
         nu=sections["physical"].get("nu", 1.0),
         m=sections["physical"].get("m", math.pi),
-        inertia=sections["physical"].get("inertia"),
-        homogeneous=sections["physical"].get("homogeneous", True),
     )
     grid = build_grid(
         int(sections["grid"]["n_points"]),

@@ -50,7 +50,6 @@ __all__ = [
     "step_stokes",
     "evolve_stokes",
     "lamb_oseen_profile",
-    "lamb_oseen_disk_profile",
     "recover_mode1_pressure",
     "reconstruct_trajectory",
     "asymptotic_momenta",
@@ -277,25 +276,6 @@ def lamb_oseen_profile(grid, t, nu, M_vec):
     M_vec = np.asarray(M_vec, dtype=float).reshape(2)
     r = grid.nodes
     prof = (1.0 - np.exp(-(r * r) / (4.0 * nu * t))) / (2.0 * math.pi * r)
-    psi = M_vec[1] * prof
-    phi = -M_vec[0] * prof
-    rigid = RigidState(np.array([-phi[0], psi[0]]), 0.0)
-    return ModeDecomposition(
-        grid, np.zeros_like(r), psi, phi, np.zeros((0, 2, grid.n_points)), rigid
-    )
-
-
-def lamb_oseen_disk_profile(grid, t, nu, M_vec):
-    """Disk-corrected variant of the asymptotic profile:
-    (exp(-1/(4 nu t)) - exp(-r^2/(4 nu t)) + 1/(4 nu t)) / (2 pi r).
-
-    Differs from lamb_oseen_profile by O(t^-2) in every fluid norm."""
-    if t <= 0:
-        raise NonpositiveTime(f"t must be > 0, got {t}")
-    M_vec = np.asarray(M_vec, dtype=float).reshape(2)
-    r = grid.nodes
-    s = 1.0 / (4.0 * nu * t)
-    prof = (math.exp(-s) - np.exp(-(r * r) * s) + s) / (2.0 * math.pi * r)
     psi = M_vec[1] * prof
     phi = -M_vec[0] * prof
     rigid = RigidState(np.array([-phi[0], psi[0]]), 0.0)

@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 
 from diskflow import dynbc
-from diskflow.fields import ModeDecomposition, RigidState, decomp_axpy, PolarField
-from diskflow.grid import build_grid
+from diskflow.fields import ModeDecomposition, PolarField, RigidState, decomp_axpy, weighted_field_norm
 from diskflow.presets import build_setup, get_preset
-from diskflow.stokes import asymptotic_momenta, lamb_oseen_profile
-from diskflow.fields import added_mass_pairing, fluid_lp_norm, weighted_field_norm
+from diskflow.stokes import StokesRecorder, asymptotic_momenta, step_stokes, subsystem_params
 
 
 def smooth_profile(grid, rng, decay=1.0, trace=None):
@@ -104,177 +102,110 @@ def fit_exponent(ts, vals, window=(10.0, 100.0)):
 # ---------------------------------------------------------------------------
 
 
+class LyapunovWatch:
+    """Worst relative per-step increase of the Lyapunov functionals of one
+    scalar system, p in {1, 2, 4, 8}: call it on each new state."""
+
+    def __init__(self, state, params):
+        self.params = params
+        self.prev = {p: dynbc.lyapunov_functional(state, params, p) for p in (1.0, 2.0, 4.0, 8.0)}
+        self.worst = {p: -np.inf for p in self.prev}
+
+    def __call__(self, state):
+        for p, prev in self.prev.items():
+            cur = dynbc.lyapunov_functional(state, self.params, p)
+            self.worst[p] = max(self.worst[p], (cur - prev) / max(prev, 1e-300))
+            self.prev[p] = cur
+
+
+def march_columns(state0, step_fn, t_end, dt, recorder, observe_times, *watches):
+    """dynbc.march with every watch(new state) called after each step;
+    returns the recorder's columns as arrays keyed by name."""
+
+    def stepped(state, first_step):
+        new = step_fn(state, first_step)
+        for watch in watches:
+            watch(new)
+        return new
+
+    dynbc.march(state0, stepped, t_end, dt, recorder, observe_times)
+    return {name: np.array(recorder.column(name)) for name in recorder.header}
+
+
 @pytest.fixture(scope="session")
 def unit_kick_run():
     """k = 0 dynamic run of the unit-kick preset with per-step monitors."""
     setup = build_setup(get_preset("unit-kick-k0"))
-    params = setup["scalar_params"]
-    state = setup["scalar_state"]
-    dt = setup["time"]["dt"]
-    t_end = setup["time"]["t_end"]
-    p_list = (1.0, 2.0, 4.0, 8.0)
+    params, grid, state = setup["scalar_params"], setup["grid"], setup["scalar_state"]
+    dt, t_end = setup["time"]["dt"], setup["time"]["t_end"]
     M0 = dynbc.mass(state, params)
-    prev = {p: dynbc.lyapunov_functional(state, params, p) for p in p_list}
-    worst_increase = {p: -np.inf for p in p_list}
-    mass_drift = 0.0
-    vmin, vmax = min(0.0, state.y.min(), state.ell), max(0.0, state.y.max(), state.ell)
-    trace_gap = 0.0
-    ts, ells, l1_dist = [], [], []
-    grid = setup["grid"]
-    n_steps = int(round(t_end / dt))
-    st = state
-    for j in range(n_steps):
-        st = dynbc.step(st, params, dt, first_step=(j == 0))
-        mass_drift = max(mass_drift, abs(dynbc.mass(st, params) - M0) / abs(M0))
-        for p in p_list:
-            cur = dynbc.lyapunov_functional(st, params, p)
-            worst_increase[p] = max(
-                worst_increase[p], (cur - prev[p]) / max(prev[p], 1e-300)
-            )
-            prev[p] = cur
-        vmin = min(vmin, float(st.y.min()), st.ell)
-        vmax = max(vmax, float(st.y.max()), st.ell)
-        trace_gap = max(trace_gap, abs(st.y[0] - st.ell))
-        if j % 25 == 0 or j == n_steps - 1:
-            ts.append(st.t)
-            ells.append(st.ell)
-            G = dynbc.gaussian_profile(grid, st.t, params.nu)
-            l1_dist.append(
-                2.0 * math.pi * float(np.sum(grid.quad_weights * np.abs(st.y - M0 * G)))
-            )
-    return {
-        "params": params,
-        "grid": grid,
-        "dt": dt,
-        "M0": M0,
-        "mass_drift": mass_drift,
-        "lyapunov_worst": worst_increase,
-        "range": (vmin, vmax),
-        "trace_gap": trace_gap,
-        "t": np.array(ts),
-        "ell": np.array(ells),
-        "l1_dist": np.array(l1_dist),
-        "final_ratio": 4.0 * math.pi * params.nu * ts[-1] * ells[-1] / M0,
-    }
+    lyapunov = LyapunovWatch(state, params)
+    drift = []
 
+    def row(st):
+        G = dynbc.gaussian_profile(grid, st.t, params.nu)
+        l1 = 2.0 * math.pi * float(np.sum(grid.quad_weights * np.abs(st.y - M0 * G)))
+        return [st.t, st.ell, l1]
 
-def _stokes_preset_run(name, p_norms=(2.0,), overrides=None):
-    setup = build_setup(get_preset(name), overrides)
-    params = setup["params"]
-    grid = setup["grid"]
-    state = setup["state"]
-    mom = asymptotic_momenta(state)
-    dt = setup["time"]["dt"]
-    t_end = setup["time"]["t_end"]
-    obs_times = np.unique(
-        np.concatenate([np.geomspace(1.0, t_end, 41), [10.0, t_end]])
+    run = march_columns(
+        state, lambda s, first: dynbc.step(s, params, dt, first_step=first), t_end, dt,
+        dynbc.Recorder(("t", "ell", "l1_dist"), row),
+        np.append(dt * (1 + 25 * np.arange(200)), t_end),  # after steps 1, 26, 51, ...
+        lyapunov, lambda st: drift.append(abs(dynbc.mass(st, params) - M0) / abs(M0)),
     )
-    out = {
-        "params": params,
-        "grid": grid,
-        "momenta": mom,
-        "t": [],
-        "ell": [],
-        "omega": [],
-        "norms": {p: [] for p in p_norms},
-        "profile_err2": [],
-        "added_mass_resid": [],
-        "mass_phi": [],
-        "lyapunov_worst": {p: -np.inf for p in (1.0, 2.0, 4.0, 8.0)},
+    return {
+        **run,
+        "mass_drift": max(drift),
+        "lyapunov_worst": lyapunov.worst,
+        "final_ratio": 4.0 * math.pi * params.nu * run["t"][-1] * run["ell"][-1] / M0,
     }
 
-    def obs(st):
-        out["t"].append(st.t)
-        out["ell"].append(np.array(st.rigid.ell))
-        out["omega"].append(st.rigid.omega)
-        for p in p_norms:
-            out["norms"][p].append(weighted_field_norm(grid, st.decomp, p, params))
-        if st.t > 0 and float(np.hypot(*mom.M_vec)) > 0:
-            ref = lamb_oseen_profile(grid, st.t, params.nu, mom.M_vec)
-            diff = decomp_axpy(1.0, st.decomp, -1.0, ref)
-            out["profile_err2"].append(fluid_lp_norm(diff, 2.0))
-        else:
-            out["profile_err2"].append(np.nan)
-        out["added_mass_resid"].append(
-            added_mass_pairing(st.decomp, 1) + math.pi * st.decomp.rigid.ell[0]
-        )
-        out["mass_phi"].append(asymptotic_momenta(st).M_phi)
 
-    # per-step Lyapunov monitoring of the scalar subsystems
-    from diskflow.stokes import subsystem_params, step_stokes
-
-    zp_params = subsystem_params(params, "z1")
-    n_steps = int(round(t_end / dt))
-    st = state
-    obs(st)
-    prev_fun = {
-        p: dynbc.lyapunov_functional(st.z_phi, zp_params, p) for p in (1.0, 2.0, 4.0, 8.0)
-    }
-    obs_sorted = np.sort(obs_times)
-    ptr = 0
-    while ptr < len(obs_sorted) and obs_sorted[ptr] <= 0:
-        ptr += 1
-    for j in range(n_steps):
-        st = step_stokes(st, dt, first_step=(j == 0 and st.t == 0.0))
-        for p in (1.0, 2.0, 4.0, 8.0):
-            cur = dynbc.lyapunov_functional(st.z_phi, zp_params, p)
-            out["lyapunov_worst"][p] = max(
-                out["lyapunov_worst"][p], (cur - prev_fun[p]) / max(prev_fun[p], 1e-300)
-            )
-            prev_fun[p] = cur
-        while ptr < len(obs_sorted) and obs_sorted[ptr] <= st.t + 1e-9 * dt:
-            obs(st)
-            ptr += 1
-    for key in ("t", "omega", "profile_err2", "added_mass_resid", "mass_phi"):
-        out[key] = np.asarray(out[key])
-    out["ell"] = np.asarray(out["ell"])
-    for p in p_norms:
-        out["norms"][p] = np.asarray(out["norms"][p])
-    out["final_state"] = st
-    return out
+def _stokes_preset_run(name):
+    """StokesRecorder columns of a linear preset at {0, 10} and 41 geometric
+    times up to t_end, plus the z_phi Lyapunov watch."""
+    setup = build_setup(get_preset(name))
+    params, state = setup["params"], setup["state"]
+    dt, t_end = setup["time"]["dt"], setup["time"]["t_end"]
+    mom = asymptotic_momenta(state)
+    lyapunov = LyapunovWatch(state.z_phi, subsystem_params(params, "z1"))
+    run = march_columns(
+        state, lambda s, first: step_stokes(s, dt, first_step=first), t_end, dt,
+        StokesRecorder(params, M_vec=mom.M_vec if mom.M_vec.any() else None),
+        np.concatenate([[0.0, 10.0, t_end], np.geomspace(1.0, t_end, 41)]),
+        lambda st: lyapunov(st.z_phi),
+    )
+    return {**run, "momenta": mom, "lyapunov_worst": lyapunov.worst}
 
 
 @pytest.fixture(scope="session")
 def translating_run():
-    return _stokes_preset_run("translating-disk", p_norms=(2.0,))
+    return _stokes_preset_run("translating-disk")
 
 
 @pytest.fixture(scope="session")
 def neutral_run():
-    return _stokes_preset_run("neutral-buoyancy", p_norms=(2.0,))
+    return _stokes_preset_run("neutral-buoyancy")
 
 
 @pytest.fixture(scope="session")
 def higher_modes_run():
-    return _stokes_preset_run("higher-modes-only", p_norms=(2.0,))
+    return _stokes_preset_run("higher-modes-only")
 
 
 @pytest.fixture(scope="session")
 def w_bump_run():
     setup = build_setup(get_preset("w-bump-k1"))
-    params = setup["scalar_params"]
-    st = setup["scalar_state"]
-    dt = setup["time"]["dt"]
-    t_end = setup["time"]["t_end"]
-    ts, ells = [], []
-    worst = {p: -np.inf for p in (1.0, 2.0, 4.0, 8.0)}
-    prev = {p: dynbc.lyapunov_functional(st, params, p) for p in worst}
-    n_steps = int(round(t_end / dt))
-    for j in range(n_steps):
-        st = dynbc.step(st, params, dt, first_step=(j == 0))
-        for p in worst:
-            cur = dynbc.lyapunov_functional(st, params, p)
-            worst[p] = max(worst[p], (cur - prev[p]) / max(prev[p], 1e-300))
-            prev[p] = cur
-        if j % 20 == 0 or j == n_steps - 1:
-            ts.append(st.t)
-            ells.append(abs(st.ell))
-    return {
-        "params": params,
-        "t": np.array(ts),
-        "ell": np.array(ells),
-        "lyapunov_worst": worst,
-    }
+    params, state = setup["scalar_params"], setup["scalar_state"]
+    dt, t_end = setup["time"]["dt"], setup["time"]["t_end"]
+    lyapunov = LyapunovWatch(state, params)
+    run = march_columns(
+        state, lambda s, first: dynbc.step(s, params, dt, first_step=first), t_end, dt,
+        dynbc.Recorder(("t", "ell"), lambda st: [st.t, abs(st.ell)]),
+        np.append(dt * (1 + 20 * np.arange(250)), t_end),  # after steps 1, 21, 41, ...
+        lyapunov,
+    )
+    return {**run, "lyapunov_worst": lyapunov.worst}
 
 
 @pytest.fixture(scope="session")

@@ -12,9 +12,6 @@ from diskflow.analysis import (
     expected_exponent,
     fit_decay,
     profile_error,
-    rate_r1,
-    rate_r2,
-    theta_rate,
 )
 from diskflow.errors import (
     GridMismatch,
@@ -91,14 +88,6 @@ def test_expected_exponent_out_of_range():
             expected_exponent(kind, p, q, regime)
     with pytest.raises(InvalidArgument):
         expected_exponent("unknown", 2.0, 2.0)
-
-
-def test_rate_helpers():
-    assert theta_rate(2, 2.0) == 0.0
-    assert theta_rate(2, 4.0) == pytest.approx((1.0) * 3.0 * 2.0 / (4.0 * (8.0 + 6.0)))
-    assert rate_r2(math.e) == pytest.approx(2.0 * math.e ** (-1.0 / 4.0))
-    assert rate_r1(math.e, 2.0) == pytest.approx(2.0 * math.e**-0.5)
-    assert rate_r1(math.e, 4.0) == pytest.approx(2.0 * math.e ** (-0.5 + theta_rate(2, 4.0)))
 
 
 def test_profile_error_metric():

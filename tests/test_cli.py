@@ -336,6 +336,19 @@ def test_non_numeric_override(tmp_path, capsys):
     )
 
 
+def test_inertia_is_rejected(tmp_path, capsys):
+    # the disk is homogeneous (inertia = m/2): a configured inertia would
+    # otherwise be dropped without notice
+    cfg = tmp_path / "i.cfg"
+    out = tmp_path / "out"
+    cfg.write_text(SMALL_STOKES_CFG.format(kind="evolve-stokes", preset="translating-disk",
+                                           t_end=1, out=out) + "\n[physical]\ninertia = 50.0\n")
+    assert cli.main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: physical.inertia")
+    assert not (out / "stokes_series.txt").exists()
+
+
 def _fit_cfg(tmp_path, series):
     cfg = tmp_path / "fit.cfg"
     cfg.write_text(

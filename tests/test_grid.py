@@ -158,8 +158,6 @@ def test_physical_params():
     assert p.inertia == math.pi / 2.0
     assert abs(p.alpha0 - 4.0 * math.pi / (math.pi + p.m)) < 1e-15
     assert abs(p.alpha_w - 2.0 * math.pi / p.inertia) < 1e-15
-    q = PhysicalParams(nu=1.0, m=2.0, inertia=1.5, homogeneous=False)
-    assert q.inertia == 1.5
     with pytest.raises(InvalidArgument):
         PhysicalParams(nu=-1.0, m=1.0)
     with pytest.raises(InvalidArgument):
