@@ -18,7 +18,7 @@ from .dynbc import (
     mass,
     step,
 )
-from .elliptic import StreamPair, check_drz_bound, check_w_elliptic, invert_z, z_transform
+from .elliptic import check_drz_bound, check_w_elliptic, invert_z, z_transform
 from .errors import DiskflowError
 from .fields import (
     ModeDecomposition,

@@ -45,14 +45,45 @@ _EXPERIMENTS = {
     "compare-asymptotic": ("state",),
 }
 
+# every config section with the keys it accepts; any other section or key is
+# an error.  The numeric keys of the sections in _OVERRIDES are merged over
+# the preset (initial_data over its data section).
+_CONFIG_KEYS = {
+    "experiment": ("kind", "name", "preset"),
+    "initial_data": ("preset", "file", "amplitude", "gamma", "ell0", "k"),
+    "physical": ("nu", "m"),
+    "grid": ("n_points", "r_max", "stretch"),
+    "time": ("dt", "t_end", "output_ratio"),
+    "spectral": ("k_max", "n_theta", "kato_max_iters", "kato_tol"),
+    "norms": ("p",),
+    "fit": ("file", "column", "t_min", "t_max", "log_correction", "expected", "tolerance",
+            "p", "q"),
+    "checks": ("enabled",),
+    "output": ("dir",),
+}
+_OVERRIDES = {"physical": "physical", "grid": "grid", "time": "time", "spectral": "spectral",
+              "initial_data": "data"}
+
 
 def load_config(path):
     """Read the flat key = value config with bracketed sections."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path!r}: {exc.message}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     cfg = {section: dict(cp.items(section)) for section in cp.sections()}
+    for section, entries in cfg.items():
+        known = _CONFIG_KEYS.get(section)
+        if known is None:
+            raise ConfigError(f"unknown config section [{section}]; "
+                              f"sections are {', '.join(_CONFIG_KEYS)}")
+        for key in entries:
+            if key not in known:
+                raise ConfigError(f"{section}.{key} is not a config key; "
+                                  f"[{section}] takes {', '.join(known)}")
     if "experiment" not in cfg or "kind" not in cfg["experiment"]:
         raise ConfigError("config needs an [experiment] section with a 'kind' key")
     kind = cfg["experiment"]["kind"]
@@ -86,22 +117,12 @@ def _config_float(cfg, section, key, default=None):
     return val
 
 
-def _float_overrides(cfg, section, keys):
-    return {key: _config_float(cfg, section, key) for key in keys if key in cfg.get(section, {})}
-
-
 def _setup_from_config(cfg):
     exp = cfg["experiment"]
-    if "inertia" in cfg.get("physical", {}):
-        raise ConfigError("physical.inertia cannot be set: the disk is homogeneous, inertia = m/2")
     overrides = {
-        "physical": _float_overrides(cfg, "physical", ("nu", "m")),
-        "grid": _float_overrides(cfg, "grid", ("n_points", "r_max", "stretch")),
-        "time": _float_overrides(cfg, "time", ("dt", "t_end", "output_ratio")),
-        "spectral": _float_overrides(
-            cfg, "spectral", ("k_max", "n_theta", "kato_max_iters", "kato_tol")
-        ),
-        "data": _float_overrides(cfg, "initial_data", ("amplitude", "gamma", "ell0", "k")),
+        dest: {key: _config_float(cfg, section, key) for key in _CONFIG_KEYS[section]
+               if key in cfg.get(section, {}) and key not in ("preset", "file")}
+        for section, dest in _OVERRIDES.items()
     }
     preset_name = cfg.get("initial_data", {}).get("preset") or exp.get("preset")
     if preset_name is None:

@@ -1,11 +1,12 @@
-"""First-order radial transforms that eliminate the mode-1 pressure.
+"""The pressure-eliminating radial transform and its inversion.
 
-The substitution z = d(psi)/dr + psi/r = (1/r) d(r psi)/dr turns the coupled
-mode-1 stream system into a scalar heat equation with dynamic boundary
-condition; on the ball the transform is constant with value 2*psi(1).  The
-inverse is the explicit solution of the first-order ODE,
+The substitution z_k = r^-k d/dr(r^k psi_k) = d(psi_k)/dr + k psi_k / r
+turns the stream profile of angular mode k into the unknown of a scalar heat
+equation: with a dynamic boundary condition for k = 1 (where z = 2*psi(1) on
+the ball), with a homogeneous Dirichlet one for k >= 2.  The inverse is the
+explicit solution of the first-order ODE,
 
-    psi(r) = ell / r + (1/r) * int_1^r s z(s) ds,
+    psi_k(r) = r^-k * (psi_k(1) + int_1^r s^k z_k(s) ds),
 
 realized with the same trapezoid rule as the grid quadrature.  The forward
 transform is the exact algebraic inverse of that cumulative trapezoid map,
@@ -13,8 +14,8 @@ so transform and inversion round-trip to solver roundoff rather than to
 discretization error, and both agree with the naive difference-stencil
 transform to second order.
 
-The k-generalized pair (r^k psi)' = r^k z serves the higher angular modes,
-where the homogeneous boundary value pins the otherwise-free seed exactly.
+Both functions act on a stack of profiles, one row per profile with one
+order k >= 1 per row, so every channel of a state goes through one call.
 """
 
 from __future__ import annotations
@@ -27,165 +28,101 @@ from .errors import InvalidArgument
 from .grid import lp_norm_radial
 
 __all__ = [
-    "StreamPair",
     "z_transform",
     "invert_z",
-    "transform_order_k",
-    "invert_order_k",
     "check_drz_bound",
     "check_w_elliptic",
     "EllipticReport",
 ]
 
 
-@dataclass(frozen=True)
-class StreamPair:
-    """A mode-1 stream profile with its boundary value ell = psi(1)."""
-
-    psi: np.ndarray
-    ell: float
-
-    def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=float).copy()
-        psi.flags.writeable = False
-        object.__setattr__(self, "psi", psi)
-        if abs(psi[0] - self.ell) > 1e-12 * max(1.0, abs(self.ell)):
-            raise InvalidArgument("psi[0] must equal ell (trace continuity)")
+def _powers(grid, orders):
+    """r^k at the nodes, one row per order, memoized on the grid."""
+    return grid.memo(("r**k", orders), _power_table, grid.nodes, orders)
 
 
-def _powers(grid, k):
-    """r^k at the nodes, memoized on the grid; an array of orders gives one
-    row per order."""
-    return grid.memo(("r**k", np.ndim(k), tuple(int(j) for j in np.ravel(k))),
-                     _power_table, grid.nodes, k)
-
-
-def _power_table(r, k):
-    rk = r ** int(k) if np.ndim(k) == 0 else np.stack([r ** int(j) for j in k])
+def _power_table(r, orders):
+    rk = np.stack([r ** k for k in orders])
     rk.flags.writeable = False
     return rk
 
 
-def _forward(grid, profile, k, seed=None):
-    """Exact inverse of the trapezoid map: nodal z such that the trapezoid of
-    s^k z over interval j reproduces the increment of r^k * profile there.
+def _stack(grid, values, orders, name):
+    """values as a float stack of rows and orders as a tuple of ints."""
+    values = np.asarray(values, dtype=float)
+    orders = tuple(int(k) for k in orders)
+    if min(orders, default=1) < 1:
+        raise InvalidArgument(f"{name} serves modes k >= 1")
+    if values.shape != (len(orders), grid.n_points):
+        raise InvalidArgument(f"{name} takes one profile per order, nodes along the last axis")
+    return values, orders
 
-    With g_j = z_j r_j^k the trapezoid relation reads g_{j+1} = c_j - g_j,
-    c_j = 2 * (increment_j) / h_j, whose closed form is the alternating
-    cumulative sum g_j = (-1)^j (g_0 - S_j), S_j = sum_{i<j} (-1)^i c_i.
 
-    The relation leaves the boundary value g_0 free (the map psi -> z gains
-    one dimension).  For the higher modes the exact boundary value is pinned
-    (seed = 0, the homogeneous condition); for the first mode the returned
-    representative minimizes the roughness ||fourth difference of z||^2 over
-    the one-parameter family, which suppresses the spurious alternating
-    component without touching the trapezoid identities.  Round-tripping
-    through the inverse map is then exact, and smooth inputs come back to
-    solver roundoff.
+def z_transform(grid, profiles, orders, z1=None):
+    """Nodal z_k = d(psi_k)/dr + k psi_k / r of each row of profiles, whose
+    order k is the matching entry of orders.
 
-    With a seed, profile may be a stack of profiles (nodes along the last
-    axis, one order per profile in k), each transformed independently.
+    This is the exact inverse of the trapezoid map of invert_z: with
+    g_j = z_j r_j^k the trapezoid relation over interval j reads
+    g_{j+1} = c_j - g_j, c_j = 2 * (increment of r^k psi_k)_j / h_j, whose
+    closed form is the alternating cumulative sum
+    g_j = (-1)^j (g_0 - S_j), S_j = sum_{i<j} (-1)^i c_i.
+
+    The relation leaves z(1) free.  z1, one value per row, pins it, which
+    reproduces the exact family member when the trace is known.  Otherwise
+    rows of order k >= 2 take z(1) = 0, exact under the homogeneous
+    condition psi_k(1) = psi_k'(1) = 0, and rows of order 1 take the
+    representative that minimizes the roughness ||fourth difference of z||^2,
+    which suppresses the spurious alternating component (the right choice
+    for data with tangential slip such as harmonic tails).  Each row is
+    transformed independently of the others.
     """
-    rk = _powers(grid, k)
+    profiles, orders = _stack(grid, profiles, orders, "z_transform")
+    rk = _powers(grid, orders)
     n = grid.n_points
     alt = np.where(np.arange(n - 1) % 2 == 0, 1.0, -1.0)
-    c = np.diff(rk * profile)
+    c = np.diff(rk * profiles)
     c *= 2.0
     c /= grid.spacings
     c *= alt
     signs = -alt  # (-1)^j for j = 1 .. n-1
-    base = np.empty(c.shape[:-1] + (n,))
-    base[..., 0] = 0.0
-    np.cumsum(c, axis=-1, out=base[..., 1:])
-    base[..., 1:] *= -signs
-    base /= rk
-    v = np.empty(n)
+    z = np.empty(profiles.shape)
+    z[:, 0] = 0.0
+    np.cumsum(c, axis=-1, out=z[:, 1:])
+    z[:, 1:] *= -signs
+    z /= rk
+    v = np.empty(n)  # (-1)^j, the free direction of g
     v[0] = 1.0
     v[1:] = signs
-    if seed is not None:
-        if seed:
-            base += (seed * rk[..., :1]) * (v / rk)
-        return base
-    v *= rk[0] / rk
-    d4b = np.diff(base, 4)
-    d4v = np.diff(v, 4)
-    s = -float(np.dot(d4b, d4v) / np.dot(d4v, d4v))
-    return base + s * v
+    if z1 is not None:
+        z1 = np.asarray(z1, dtype=float).reshape(len(orders), 1)
+        z += (z1 * rk[:, :1]) * (v / rk)
+        return z
+    for i, k in enumerate(orders):
+        if k == 1:
+            vi = v * (rk[i, 0] / rk[i])
+            d4v = np.diff(vi, 4)
+            s = -float(np.dot(np.diff(z[i], 4), d4v) / np.dot(d4v, d4v))
+            z[i] += s * vi
+    return z
 
 
-def _backward(grid, z, k, ell):
-    rk = _powers(grid, k)
-    psi = grid.cumtrap_weighted(rk, z)
-    psi /= rk
-    if ell:
-        psi += ell / rk
-    return psi
+def invert_z(grid, z, orders, ell=None):
+    """psi_k(r) = r^-k * (ell + int_1^r s^k z_k(s) ds) of each row of z,
+    whose order k is the matching entry of orders.
 
-
-def z_transform(pair, grid, flip_sign=False, boundary_value=None):
-    """Transform a stream pair to its scalar heat unknown (z, ell_z).
-
-    Returns nodal z = d(psi)/dr + psi/r and the ball value ell_z = 2*ell.
-    flip_sign applies the opposite orientation used for the second mode-1
-    channel: z = -(d(phi)/dr + phi/r), ell_z = -2*phi(1).
-
-    boundary_value optionally pins z(1) (in the output orientation).  The
-    discrete map determines z only up to its boundary value; passing the
-    known trace (for no-slip pairs it equals ell_z) reproduces the exact
-    family member, while the default selects the smoothest representative
-    (the right choice for data with tangential slip such as harmonic tails).
-    """
-    from .dynbc import ScalarModeState
-
-    psi = np.asarray(pair.psi, dtype=float)
-    if psi.shape != (grid.n_points,):
-        raise InvalidArgument("profile length must match the grid")
-    sign = -1.0 if flip_sign else 1.0
-    seed = None if boundary_value is None else sign * float(boundary_value)
-    z = sign * _forward(grid, psi, 1, seed=seed)
-    ell_z = sign * 2.0 * pair.ell
-    return ScalarModeState(grid, z, ell_z, 0.0)
-
-
-def invert_z(z_state, grid, flip_sign=False):
-    """Reconstruct the stream pair from (z, ell_z); uses ell = ell_z / 2.
-
-    psi(r) = ell/r + (1/r) * cumulative trapezoid of s z(s) from 1 to r.
+    ell, one value per row, is the boundary value psi_k(1) (default 0).
     Deterministic: identical inputs give bit-identical outputs.
     """
-    z = np.asarray(z_state.y, dtype=float)
-    if z.shape != (grid.n_points,):
-        raise InvalidArgument("z length must match the grid")
-    sign = -1.0 if flip_sign else 1.0
-    ell = sign * z_state.ell / 2.0
-    psi = _backward(grid, sign * z, 1, ell)
-    return StreamPair(psi, ell)
-
-
-def _check_order_k(grid, values, k, name):
-    values = np.asarray(values, dtype=float)
-    if np.any(np.asarray(k) < 2):
-        raise InvalidArgument(f"{name} serves modes k >= 2")
-    if values.shape != np.shape(k) + (grid.n_points,):
-        raise InvalidArgument(f"{name} takes one profile per order, nodes along the last axis")
-    return values
-
-
-def transform_order_k(grid, profile, k):
-    """Nodal z_k = d(psi_k)/dr + k psi_k / r for a higher-mode profile with
-    psi_k(1) = d(psi_k)/dr(1) = 0 (the seed z_k(1) = 0 is exact).
-
-    profile may stack one profile per row, with k one order per row."""
-    profile = _check_order_k(grid, profile, k, "transform_order_k")
-    return _forward(grid, profile, k, seed=0.0)
-
-
-def invert_order_k(grid, z_values, k):
-    """psi_k(r) = r^-k * int_1^r s^k z_k(s) ds with psi_k(1) = 0.
-
-    z_values may stack one profile per row, with k one order per row."""
-    z_values = _check_order_k(grid, z_values, k, "invert_order_k")
-    return _backward(grid, z_values, k, 0.0)
+    z, orders = _stack(grid, z, orders, "invert_z")
+    rk = _powers(grid, orders)
+    psi = grid.cumtrap_weighted(rk, z)
+    psi /= rk
+    if ell is not None:
+        ell = np.asarray(ell, dtype=float).reshape(len(orders), 1)
+        # rows with ell = 0 add nothing, so a signed zero keeps its sign
+        np.add(psi, ell / rk, out=psi, where=ell != 0.0)
+    return psi
 
 
 @dataclass

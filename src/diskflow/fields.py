@@ -599,30 +599,22 @@ def weighted_field_norm(grid, decomp, p, params):
     return (fluid + (params.m / math.pi) * ball) ** (1.0 / p)
 
 
-def added_mass_pairing(decomp, direction=1, tail_closure=True):
+def added_mass_pairing(decomp, direction=1):
     """Pairing of the field with the gradient of cos/sin(theta)/r over the fluid.
 
     The radial integral is evaluated exactly for the piecewise-linear stream
-    profile (the integrand is a perfect derivative of profile/r), and
-    tail_closure adds the contribution of the harmonic continuation beyond
-    r_max.  For any admissible decomposition the result is -pi times the
-    matching translation trace; the identity is exact once the trace
-    relations hold, so its drift measures trace consistency of a solver run.
+    profile (the integrand is a perfect derivative of profile/r), plus the
+    contribution of the harmonic continuation beyond r_max.  For any
+    admissible decomposition the result is -pi times the matching
+    translation trace; the identity is exact once the trace relations hold,
+    so its drift measures trace consistency of a solver run.
     """
     r = decomp.grid.nodes
     if direction == 1:
-        prof = decomp.phi
-        over_r = prof / r
-        val = math.pi * float(np.sum(over_r[:-1] - over_r[1:]))
-        if tail_closure:
-            val += math.pi * over_r[-1]
-        return val
-    prof = decomp.psi
-    over_r = prof / r
-    val = math.pi * float(np.sum(over_r[1:] - over_r[:-1]))
-    if tail_closure:
-        val -= math.pi * over_r[-1]
-    return val
+        over_r = decomp.phi / r
+        return math.pi * float(np.sum(over_r[:-1] - over_r[1:])) + math.pi * over_r[-1]
+    over_r = decomp.psi / r
+    return math.pi * float(np.sum(over_r[1:] - over_r[:-1])) - math.pi * over_r[-1]
 
 
 # ---------------------------------------------------------------------------

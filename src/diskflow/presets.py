@@ -42,22 +42,17 @@ def _bump(r, center=1.5, width=2.0):
     return np.exp(-width * (r - center) ** 2)
 
 
-def _mode1_bump_data(grid, amplitude, channel="phi"):
+def _mode1_bump_data(grid, amplitude):
     """Mode-1 data with unit translation trace and rapidly decaying stream
     profile: the transformed unknown is a compact bump scaled so that the
     profile decays faster than 1/r (total fluid weight -amplitude)."""
     r = grid.nodes
     g = _bump(r)
     scale = -amplitude / float(np.sum(grid.quad_weights * g))
-    z0 = ScalarModeState(grid, scale * g, 2.0 * amplitude, 0.0)
-    prof = invert_z(z0, grid).psi
+    phi = -invert_z(grid, [scale * g], (1,), [amplitude])[0]
     zero = np.zeros_like(r)
-    if channel == "phi":
-        phi = -prof
-        rigid = RigidState(np.array([amplitude, 0.0]), 0.0)
-        return ModeDecomposition(grid, zero, zero.copy(), phi, np.zeros((0, 2, r.size)), rigid)
-    rigid = RigidState(np.array([0.0, amplitude]), 0.0)
-    return ModeDecomposition(grid, zero, prof, zero.copy(), np.zeros((0, 2, r.size)), rigid)
+    rigid = RigidState(np.array([amplitude, 0.0]), 0.0)
+    return ModeDecomposition(grid, zero, zero.copy(), phi, np.zeros((0, 2, r.size)), rigid)
 
 
 PRESETS = {
@@ -148,7 +143,6 @@ PRESETS = {
             "kind": "mode1-tail",
             "amplitude": 0.05,
             "gamma": 0.34,
-            "q": 1.5,
             "fit_window": (20.0, 200.0),
         },
     ),
@@ -229,7 +223,7 @@ def build_setup(preset, overrides=None):
     amp = float(data.get("amplitude", 1.0))
     k_max = int(sections["spectral"].get("k_max", 2))
     if kind == "mode1-bump":
-        d0 = _mode1_bump_data(grid, amp, channel="phi")
+        d0 = _mode1_bump_data(grid, amp)
     elif kind == "mode1-tail":
         r = grid.nodes
         gamma = float(data.get("gamma", 0.4))

@@ -25,13 +25,7 @@ import numpy as np
 
 from . import dynbc
 from .dynbc import DynBCParams, ScalarModeState
-from .elliptic import (
-    StreamPair,
-    invert_order_k,
-    invert_z,
-    transform_order_k,
-    z_transform,
-)
+from .elliptic import invert_z, z_transform
 from .errors import InvalidArgument, NonpositiveTime
 from .fields import (
     ModeDecomposition,
@@ -155,35 +149,25 @@ def init_stokes(decomp, params, t=0.0):
     return StokesState(channels, t, params, _decomp=decomp)
 
 
-def _higher_orders(n_high):
-    """Angular order of each column of a stacked (psi_k, phi_k) array."""
-    return np.repeat(np.arange(2, n_high + 2), 2)
-
-
-def _higher_z(decomp):
-    """(z for psi_k, z for phi_k) of every higher mode, one stacked transform."""
-    n_high = decomp.k_max - 1
-    if n_high == 0:
-        return np.zeros((0, 2, decomp.grid.n_points))
-    profiles = decomp.higher.reshape(2 * n_high, -1)
-    z = transform_order_k(decomp.grid, profiles, _higher_orders(n_high)).reshape(n_high, 2, -1)
-    z[:, 1] *= -1.0
-    return z
+def _orders(k_max):
+    """Angular order of each row of the (psi_1, phi_1, psi_2, phi_2, ...)
+    stack of stream profiles or z variables."""
+    return tuple(j // 2 for j in range(2, 2 * k_max + 2))
 
 
 def _rebuild_decomp(grid, channels):
-    (w_state,), (z_psi, z_phi), *z_higher = channels
-    psi_pair = invert_z(z_psi, grid)
-    phi_pair = invert_z(z_phi, grid)
-    higher = np.zeros((0, 2, grid.n_points))
-    if z_higher:
-        z = np.stack([zk.y for pair in z_higher for zk in pair])
-        higher = invert_order_k(grid, z, _higher_orders(len(z_higher))).reshape(len(z_higher), 2, -1)
-        higher[:, 1] *= -1.0
-    rigid = RigidState(
-        np.array([z_phi.ell / 2.0, z_psi.ell / 2.0]), float(w_state.ell)
-    )
-    return ModeDecomposition(grid, w_state.y, psi_pair.psi, -phi_pair.psi, higher, rigid)
+    """The decomposition of a channel tuple: one inversion of every z row,
+    the phi rows taking the opposite orientation (z = -(phi' + k phi/r))."""
+    (w_state,), *pairs = channels
+    z_psi, z_phi = pairs[0]
+    ell = np.zeros(2 * len(pairs))
+    ell[:2] = z_psi.ell / 2.0, z_phi.ell / 2.0
+    z = np.stack([zk.y for pair in pairs for zk in pair])
+    psi = invert_z(grid, z, _orders(len(pairs)), ell)
+    psi[1::2] *= -1.0
+    rigid = RigidState(ell[[1, 0]], float(w_state.ell))
+    higher = psi[2:].reshape(-1, 2, grid.n_points)
+    return ModeDecomposition(grid, w_state.y, psi[0], psi[1], higher, rigid)
 
 
 def _packed_system(grid, params, n_high, theta):
@@ -256,12 +240,13 @@ def decomp_to_sources(decomp):
     feed the mode-1 z systems (their boundary scalars are 2*ell)."""
     grid = decomp.grid
     rig = decomp.rigid
-    zp = z_transform(StreamPair(decomp.psi, float(decomp.psi[0])), grid)
-    zf = z_transform(StreamPair(decomp.phi, float(decomp.phi[0])), grid, flip_sign=True)
+    profiles = np.concatenate([[decomp.psi, decomp.phi], decomp.higher.reshape(-1, grid.n_points)])
+    z = z_transform(grid, profiles, _orders(decomp.k_max))
+    z[1::2] *= -1.0
     return (
         ((decomp.w, float(rig.omega)),),
-        ((zp.y, 2.0 * float(rig.ell[1])), (zf.y, 2.0 * float(rig.ell[0]))),
-        *(((zpk, 0.0), (zfk, 0.0)) for zpk, zfk in _higher_z(decomp)),
+        ((z[0], 2.0 * float(rig.ell[1])), (z[1], 2.0 * float(rig.ell[0]))),
+        *(((zpk, 0.0), (zfk, 0.0)) for zpk, zfk in z[2:].reshape(-1, 2, grid.n_points)),
     )
 
 
@@ -339,8 +324,7 @@ class StokesRecorder(dynbc.Recorder):
     """Observer for coupled runs: velocities, field norms, masses, profile
     errors against the self-similar dipole, and the added-mass residual."""
 
-    def __init__(self, params, p_values=(2.0,), M_vec=None, profile_ps=(2.0,),
-                 with_added_mass=True):
+    def __init__(self, params, p_values=(2.0,), M_vec=None, profile_ps=(2.0,)):
         p_values = tuple(p_values)
         profile_ps = tuple(profile_ps)
         if M_vec is not None:
@@ -358,9 +342,7 @@ class StokesRecorder(dynbc.Recorder):
                 diff = decomp_axpy(1.0, d, -1.0, ref)
                 profile_err = [fluid_lp_norm(diff, p) for p in profile_ps]
             mom = asymptotic_momenta(state)
-            resid = math.nan
-            if with_added_mass:
-                resid = added_mass_pairing(d, 1) + math.pi * d.rigid.ell[0]
+            resid = added_mass_pairing(d, 1) + math.pi * d.rigid.ell[0]
             return [
                 state.t, *d.rigid.ell, d.rigid.omega,
                 *(weighted_field_norm(state.grid, d, p, params) for p in p_values),

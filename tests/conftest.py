@@ -219,7 +219,6 @@ def ns_q32_run():
         setup["decomp0"],
         setup["params"],
         setup["ns_config"],
-        q=1.5,
         p=2.0,
         t_end=setup["time"]["t_end"],
         dt=setup["time"]["dt"],

@@ -14,7 +14,6 @@ from conftest import polar_inner, random_decomposition, random_polar_field
 from diskflow import dynbc, stokes
 from diskflow import navier_stokes as ns
 from diskflow.analysis import fit_decay
-from diskflow.dynbc import ScalarModeState
 from diskflow.elliptic import invert_z, z_transform
 from diskflow.fields import (
     decomp_axpy,
@@ -109,25 +108,26 @@ def test_criterion_09_higher_mode_decay(higher_modes_run):
 def test_criterion_10_elliptic_oracle_equivalence():
     grid = build_grid(2048, 20.0, 2.0)
     r = grid.nodes
-    suite = [
-        (r**-3.0, 0.0),
-        (np.exp(-((r - 2.0) ** 2)), 1.0),
-        ((r - 1.0) * np.exp(-((r - 1.5) ** 2)), -0.6),
-        (np.exp(-0.5 * (r - 3.0) ** 2) * np.sin(r - 1.0), 0.25),
-    ]
-    worst_oracle = 0.0
-    worst_round = 0.0
-    for prof, ell_z in suite:
-        z = ScalarModeState(grid, prof, ell_z, 0.0)
-        pair = invert_z(z, grid)
-        oracle = ell_z / 2.0 / r + cumulative_trapezoid(r * prof, r, initial=0.0) / r
-        scale = np.max(np.abs(oracle)) + 1e-30
-        worst_oracle = max(worst_oracle, np.max(np.abs(pair.psi - oracle)) / scale)
-        z2 = z_transform(pair, grid)
-        zscale = np.max(np.abs(prof)) + abs(ell_z)
-        worst_round = max(worst_round, np.max(np.abs(z2.y - prof)) / zscale)
-        back = invert_z(z2, grid)
-        worst_round = max(worst_round, np.max(np.abs(back.psi - pair.psi)) / scale)
+    profs = np.stack([
+        r**-3.0,
+        np.exp(-((r - 2.0) ** 2)),
+        (r - 1.0) * np.exp(-((r - 1.5) ** 2)),
+        np.exp(-0.5 * (r - 3.0) ** 2) * np.sin(r - 1.0),
+    ])
+    ell = np.array([0.0, 1.0, -0.6, 0.25]) / 2.0  # psi(1) = half the ball value of z
+    orders = (1,) * len(ell)
+
+    def worst(err, scale):
+        return float(np.max(np.max(np.abs(err), axis=1) / scale))
+
+    psi = invert_z(grid, profs, orders, ell)
+    oracle = ell[:, None] / r + cumulative_trapezoid(r * profs, r, initial=0.0) / r
+    scale = np.max(np.abs(oracle), axis=1) + 1e-30
+    worst_oracle = worst(psi - oracle, scale)
+    z2 = z_transform(grid, psi, orders)
+    back = invert_z(grid, z2, orders, ell)
+    worst_round = max(worst(z2 - profs, np.max(np.abs(profs), axis=1) + 2.0 * np.abs(ell)),
+                      worst(back - psi, scale))
     ok = worst_oracle <= 1e-8 and worst_round <= 1e-8
     verdict(
         10, "elliptic inversion oracle", ok,

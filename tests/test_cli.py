@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,3 +375,33 @@ def test_fit_decay_malformed_series_row(tmp_path, capsys, bad_row, message):
     series.write_text(f"# comment\nt, norm_L2\n1.0, 1.0\n{bad_row}\n4.0, 0.5\n")
     assert cli.main(["run", str(_fit_cfg(tmp_path, series))]) == 1
     assert capsys.readouterr().err.splitlines()[-1].startswith(message)
+
+
+@pytest.mark.parametrize("old, new, name", [
+    ("n_points = 512", "n_point = 64", "error: grid.n_point is not a config key"),
+    ("[time]", "[tmie]", "error: unknown config section [tmie]"),
+    ("[norms]", "[grid]", "error: cannot parse config file"),
+])
+def test_unknown_config_key_is_rejected(tmp_path, capsys, old, new, name):
+    # a misspelled key or section would otherwise run on the preset's value
+    out = tmp_path / "out"
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text(MODE_HEAT_CFG.format(out=out).replace(old, new))
+    assert cli.main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(name)
+    assert not (out / "time_series.txt").exists()
+
+
+def test_every_documented_key_is_accepted(tmp_path):
+    # the README example, and every [fit] key, pass the key check
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "readme.cfg").write_text(example)
+    assert set(cli.load_config(tmp_path / "readme.cfg")) == {
+        "experiment", "initial_data", "physical", "grid", "time", "norms", "checks", "output"}
+    (tmp_path / "fit.cfg").write_text(
+        "[experiment]\nkind = fit-decay\nname = f\n[fit]\nfile = s.txt\ncolumn = norm_L2\n"
+        "t_min = 1\nt_max = 9\nlog_correction = true\nexpected = -1\ntolerance = 0.1\n"
+        "p = 2\nq = 1.5\n"
+    )
+    assert set(cli.load_config(tmp_path / "fit.cfg")["fit"]) == set(cli._CONFIG_KEYS["fit"])

@@ -6,16 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from diskflow.dynbc import ScalarModeState
-from diskflow.elliptic import (
-    StreamPair,
-    check_drz_bound,
-    check_w_elliptic,
-    invert_order_k,
-    invert_z,
-    transform_order_k,
-    z_transform,
-)
+from diskflow.elliptic import check_drz_bound, check_w_elliptic, invert_z, z_transform
 from diskflow.errors import InvalidArgument
 from diskflow.grid import build_grid
 
@@ -26,57 +17,57 @@ def grid():
 
 
 def test_harmonic_profile_annihilated(grid):
-    # psi = 1/r: d(psi)/dr + psi/r = 0 in the fluid; ball value doubles
+    # psi = 1/r: d(psi)/dr + psi/r = 0 in the fluid
     r = grid.nodes
-    z = z_transform(StreamPair(1.0 / r, 1.0), grid)
-    assert np.max(np.abs(z.y)) < 1e-10
-    assert z.ell == 2.0
+    z = z_transform(grid, [1.0 / r], (1,))[0]
+    assert np.max(np.abs(z)) < 1e-10
 
 
 def test_transform_closed_form(grid):
     # psi = r exp(-r^2): z = 2 exp(-r^2) (1 - r^2), second-order accurate
     r = grid.nodes
     psi = r * np.exp(-(r**2))
-    z = z_transform(StreamPair(psi, psi[0]), grid)
+    z = z_transform(grid, [psi], (1,))[0]
     exact = 2.0 * np.exp(-(r**2)) * (1.0 - r**2)
-    assert np.max(np.abs(z.y - exact)) < 5e-6
+    assert np.max(np.abs(z - exact)) < 5e-6
 
 
 def test_sign_flip_convention(grid):
+    # the phi channels' orientation z = -(phi' + k phi/r) is one negation:
+    # transforming -phi gives exactly -z, smoothest representative included
     r = grid.nodes
     prof = np.exp(-((r - 2.0) ** 2)) + 0.2 / r
-    plain = z_transform(StreamPair(prof, prof[0]), grid)
-    flipped = z_transform(StreamPair(prof, prof[0]), grid, flip_sign=True)
-    assert np.allclose(flipped.y, -plain.y, atol=1e-14)
-    assert flipped.ell == -plain.ell
+    orders = (1, 2)
+    plain = z_transform(grid, [prof, prof * (r - 1.0) ** 2], orders)
+    flipped = z_transform(grid, -np.stack([prof, prof * (r - 1.0) ** 2]), orders)
+    assert np.array_equal(flipped, -plain)
 
 
 def test_invert_homogeneous(grid):
-    # z == 0 with ell_z = 2 inverts to the harmonic tail 1/r
-    z = ScalarModeState(grid, np.zeros(grid.n_points), 2.0, 0.0)
-    pair = invert_z(z, grid)
-    assert np.max(np.abs(pair.psi - 1.0 / grid.nodes)) < 1e-14
-    assert pair.ell == 1.0
+    # z == 0 with psi(1) = 1 inverts to the harmonic tail 1/r
+    psi = invert_z(grid, [np.zeros(grid.n_points)], (1,), [1.0])[0]
+    assert np.max(np.abs(psi - 1.0 / grid.nodes)) < 1e-14
+    assert psi[0] == 1.0
 
 
 def test_invert_matches_quadrature_oracle(grid):
     # independent oracle: scipy cumulative trapezoid of s z(s), same grid
     r = grid.nodes
-    for prof, ell_z in [(r**-3.0, 0.0), (np.exp(-((r - 2.0) ** 2)), 1.0),
-                        ((r - 1.0) * np.exp(-r), -0.6)]:
-        z = ScalarModeState(grid, prof, ell_z, 0.0)
-        pair = invert_z(z, grid)
-        oracle = ell_z / 2.0 / r + cumulative_trapezoid(r * prof, r, initial=0.0) / r
+    profs = [r**-3.0, np.exp(-((r - 2.0) ** 2)), (r - 1.0) * np.exp(-r)]
+    ells = [0.0, 0.5, -0.3]
+    psi = invert_z(grid, profs, (1, 1, 1), ells)
+    for row, prof, ell in zip(psi, profs, ells):
+        oracle = ell / r + cumulative_trapezoid(r * prof, r, initial=0.0) / r
         scale = np.max(np.abs(oracle)) + 1e-30
-        assert np.max(np.abs(pair.psi - oracle)) < 1e-12 * scale
+        assert np.max(np.abs(row - oracle)) < 1e-12 * scale
 
 
 def test_invert_closed_form(grid):
-    # z = r^-3, ell_z = 0: psi = (1 - 1/r)/r via int_1^r s^-2 ds = 1 - 1/r
+    # z = r^-3, psi(1) = 0: psi = (1 - 1/r)/r via int_1^r s^-2 ds = 1 - 1/r
     r = grid.nodes
-    pair = invert_z(ScalarModeState(grid, r**-3.0, 0.0, 0.0), grid)
+    psi = invert_z(grid, [r**-3.0], (1,))[0]
     exact = (1.0 - 1.0 / r) / r
-    assert np.max(np.abs(pair.psi - exact)) < 5e-6
+    assert np.max(np.abs(psi - exact)) < 5e-6
 
 
 def test_roundtrip_both_ways(grid):
@@ -85,23 +76,18 @@ def test_roundtrip_both_ways(grid):
     for _ in range(5):
         a, b = rng.standard_normal(2)
         psi = a * np.exp(-0.5 * (r - 2.0) ** 2) + b / r
-        pair = StreamPair(psi, psi[0])
-        back = invert_z(z_transform(pair, grid), grid)
-        assert np.max(np.abs(back.psi - psi)) < 1e-10
-        assert back.ell == pair.ell
+        back = invert_z(grid, z_transform(grid, [psi], (1,)), (1,), [psi[0]])[0]
+        assert np.max(np.abs(back - psi)) < 1e-10
+        assert back[0] == psi[0]
         zvals = a * np.exp(-((r - 1.5) ** 2)) * (r - 1.0)
-        zst = ScalarModeState(grid, zvals, 2.0 * b, 0.0)
-        z2 = z_transform(invert_z(zst, grid), grid)
+        z2 = z_transform(grid, invert_z(grid, [zvals], (1,), [b]), (1,))[0]
         scale = np.max(np.abs(zvals)) + abs(b) + 1e-30
-        assert np.max(np.abs(z2.y - zvals)) < 1e-8 * scale
-        assert z2.ell == zst.ell
+        assert np.max(np.abs(z2 - zvals)) < 1e-8 * scale
 
 
 def test_inversion_deterministic(grid):
-    z = ScalarModeState(grid, np.exp(-grid.nodes), 0.4, 0.0)
-    a = invert_z(z, grid)
-    b = invert_z(z, grid)
-    assert np.array_equal(a.psi, b.psi)
+    z = [np.exp(-grid.nodes)]
+    assert np.array_equal(invert_z(grid, z, (1,), [0.2]), invert_z(grid, z, (1,), [0.2]))
 
 
 def test_defining_ode_residual_second_order():
@@ -111,8 +97,8 @@ def test_defining_ode_residual_second_order():
         g = build_grid(n, 12.0, 1.0)
         r = g.nodes
         z = np.exp(-((r - 2.0) ** 2))
-        pair = invert_z(ScalarModeState(g, z, 0.8, 0.0), g)
-        resid = g.ddr(pair.psi) + pair.psi / r - z
+        psi = invert_z(g, [z], (1,), [0.4])[0]
+        resid = g.ddr(psi) + psi / r - z
         errs.append(np.max(np.abs(resid[1:-1])))
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
@@ -121,15 +107,67 @@ def test_defining_ode_residual_second_order():
 def test_order_k_transform_pair(grid):
     r = grid.nodes
     psi3 = (r - 1.0) ** 2 * np.exp(-((r - 1.5) ** 2))
-    z3 = transform_order_k(grid, psi3, 3)
+    z3 = z_transform(grid, [psi3], (3,))[0]
     assert z3[0] == 0.0
-    back = invert_order_k(grid, z3, 3)
+    back = invert_z(grid, [z3], (3,))[0]
     assert np.max(np.abs(back - psi3)) < 1e-12
     # other direction on a smooth Dirichlet-compatible z
     zvals = (r - 1.0) * np.exp(-((r - 2.0) ** 2))
-    psi = invert_order_k(grid, zvals, 3)
-    z2 = transform_order_k(grid, psi, 3)
+    z2 = z_transform(grid, invert_z(grid, [zvals], (3,)), (3,))[0]
     assert np.max(np.abs(z2 - zvals)) < 1e-8
+
+
+def test_stack_shape_and_orders_checked(grid):
+    rows = np.zeros((2, grid.n_points))
+    for fn in (z_transform, invert_z):
+        with pytest.raises(InvalidArgument):
+            fn(grid, rows, (1,))
+        with pytest.raises(InvalidArgument):
+            fn(grid, rows, (0, 1))
+        with pytest.raises(InvalidArgument):
+            fn(grid, rows[:, :-1], (1, 2))
+
+
+def test_exact_z_round_trip_property():
+    # over random grids and orders 1..5: pinning z(1) makes the transform the
+    # exact inverse of the inversion, and a stacked call is its rows' calls
+    hyp = pytest.importorskip("hypothesis")
+    hst = hyp.strategies
+
+    @hyp.settings(max_examples=60, deadline=None, database=None)
+    @hyp.given(
+        n_points=hst.integers(16, 4096),
+        r_max=hst.floats(2.5, 300.0),
+        stretch=hst.one_of(hst.just(0.0), hst.floats(0.1, 3.0)),
+        orders=hst.lists(hst.integers(1, 5), min_size=1, max_size=6),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def check(n_points, r_max, stretch, orders, seed):
+        rng = np.random.default_rng(seed)
+        grid = build_grid(n_points, r_max, stretch)
+        r = grid.nodes
+        rows = len(orders)
+        a, c, w, b = (rng.uniform(lo, hi, (rows, 1)) for lo, hi in
+                      ((-2, 2), (1, min(r_max, 6.0)), (0.3, 3), (-1, 1)))
+        z = a * np.exp(-((r - c) ** 2) / w) + b * r**-2.0
+        ell = rng.standard_normal(rows)
+        psi = invert_z(grid, z, orders, ell)
+        z2 = z_transform(grid, psi, orders, z1=z[:, 0])
+        zscale = np.max(np.abs(z), axis=1)
+        assert np.all(np.max(np.abs(z2 - z), axis=1) <= 1e-9 * zscale)
+        psi2 = invert_z(grid, z2, orders, ell)
+        pscale = np.max(np.abs(psi), axis=1)
+        assert np.all(np.max(np.abs(psi2 - psi), axis=1) <= 1e-12 * pscale)
+        by_row = [
+            (invert_z(grid, z[i:i + 1], (k,), ell[i:i + 1]),
+             z_transform(grid, psi[i:i + 1], (k,)),
+             z_transform(grid, psi[i:i + 1], (k,), z1=z[i:i + 1, 0]))
+            for i, k in enumerate(orders)
+        ]
+        for got, rows_got in zip((psi, z_transform(grid, psi, orders), z2), zip(*by_row)):
+            assert np.array_equal(got, np.concatenate(rows_got))
+
+    check()
 
 
 def test_drz_report(grid):

@@ -14,7 +14,6 @@ from diskflow import dynbc
 from diskflow import fields
 from diskflow import navier_stokes as ns
 from diskflow import stokes
-from diskflow.dynbc import ScalarModeState
 from diskflow.elliptic import invert_z
 from diskflow.errors import BlowUp, GridMismatch, InvalidArgument, NoContraction
 from diskflow.fields import (
@@ -41,8 +40,7 @@ def params():
 def mode1_bump(grid, eps):
     g = np.exp(-2.0 * (grid.nodes - 1.5) ** 2)
     scale = -eps / float(np.sum(grid.quad_weights * g))
-    z0 = ScalarModeState(grid, scale * g, 2.0 * eps, 0.0)
-    phi = -invert_z(z0, grid).psi
+    phi = -invert_z(grid, [scale * g], (1,), [eps])[0]
     n = grid.n_points
     return ModeDecomposition(
         grid, np.zeros(n), np.zeros(n), phi, np.zeros((1, 2, n)),
@@ -243,7 +241,7 @@ def test_cfl_guard(grid, params):
 
 
 def test_blowup_guard(grid, params):
-    cfg = ns.NonlinearConfig(k_max=2, n_theta=16, cfl_check=False, blowup_factor=2.0)
+    cfg = ns.NonlinearConfig(k_max=2, n_theta=16, blowup_factor=2.0)
     d = mode1_bump(grid, 200.0)
     st = stokes.init_stokes(d, params)
     with pytest.raises(BlowUp):
@@ -304,7 +302,7 @@ def test_kato_forcing_states_skip_decomp_axpy(monkeypatch):
 
 def test_kato_no_contraction_for_large_data(grid, params):
     cfg = ns.NonlinearConfig(k_max=2, n_theta=16,
-                             kato_max_iters=10, kato_tol=1e-14, cfl_check=False)
+                             kato_max_iters=10, kato_tol=1e-14)
     d = mode1_bump(grid, 30.0)
     with pytest.raises((NoContraction, BlowUp)):
         ns.kato_solve(stokes.init_stokes(d, params), cfg, 0.5, 1.0 / 32)
@@ -316,7 +314,7 @@ def test_improved_decay_q2_no_gain(grid, params):
     d = mode1_bump(grid, 0.05)
     cfg = ns.NonlinearConfig(k_max=2, n_theta=16)
     base_fit, diff_fit = ns.improved_decay_experiment(
-        d, params, cfg, q=2.0, p=2.0, t_end=50.0, dt=0.05, t_fit=(5.0, 50.0)
+        d, params, cfg, p=2.0, t_end=50.0, dt=0.05, t_fit=(5.0, 50.0)
     )
     assert abs(base_fit.exponent - diff_fit.exponent) <= 0.15
 

@@ -9,7 +9,7 @@ from conftest import random_decomposition
 from oracles import dense_channel_step
 
 from diskflow import stokes
-from diskflow.elliptic import StreamPair, z_transform
+from diskflow.elliptic import z_transform
 from diskflow.dynbc import DynBCParams
 from diskflow.errors import NonpositiveTime, SolverFailure
 from diskflow.fields import (
@@ -65,8 +65,8 @@ def test_init_consistency_invariant(grid, params):
     rng = np.random.default_rng(0)
     d = random_decomposition(grid, rng, k_max=3)
     st = stokes.init_stokes(d, params)
-    zp = z_transform(StreamPair(d.psi, float(d.psi[0])), grid)
-    assert np.max(np.abs(st.z_psi.y - zp.y)) < 1e-12
+    zp = z_transform(grid, [d.psi], (1,))[0]
+    assert np.max(np.abs(st.z_psi.y - zp)) < 1e-12
     assert st.z_psi.ell == 2.0 * d.rigid.ell[1]
 
 
@@ -117,17 +117,13 @@ def test_evolution_consistency_invariant(grid, params):
     # primary z variable
     setup = translating_data(grid)
     st = stokes.evolve_stokes(setup["state"], 2.0, 0.05)
-    zf = z_transform(
-        StreamPair(st.decomp.phi, float(st.decomp.phi[0])), grid,
-        flip_sign=True, boundary_value=st.z_phi.ell,
-    )
-    assert np.max(np.abs(zf.y - st.z_phi.y)) < 1e-10
-    assert abs(zf.ell - st.z_phi.ell) < 1e-12
+    minus_phi = [-st.decomp.phi]
+    zf = z_transform(grid, minus_phi, (1,), z1=[st.z_phi.ell])[0]
+    assert np.max(np.abs(zf - st.z_phi.y)) < 1e-10
+    assert abs(-2.0 * st.decomp.phi[0] - st.z_phi.ell) < 1e-12
     # without the trace the smoothness selector agrees at its own accuracy
-    zf2 = z_transform(
-        StreamPair(st.decomp.phi, float(st.decomp.phi[0])), grid, flip_sign=True
-    )
-    assert np.max(np.abs(zf2.y - st.z_phi.y)) < 1e-6
+    zf2 = z_transform(grid, minus_phi, (1,))[0]
+    assert np.max(np.abs(zf2 - st.z_phi.y)) < 1e-6
 
 
 def test_lamb_oseen_profiles(grid):
@@ -417,6 +413,29 @@ def test_stepped_channels_are_read_only_and_unshared(grid, params):
     for i, a in enumerate(states):
         for b in states[i + 1:]:
             assert not np.shares_memory(a.y, b.y)
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3, 4, 5])
+def test_one_transform_and_one_inversion_per_state(grid, params, monkeypatch, k_max):
+    # every channel goes through one stacked call, whatever the mode count
+    calls = {"z_transform": 0, "invert_z": 0}
+
+    def counted(name):
+        inner = getattr(stokes, name)
+
+        def fn(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return fn
+
+    for name in calls:
+        monkeypatch.setattr(stokes, name, counted(name))
+    d = random_decomposition(grid, np.random.default_rng(26), k_max=k_max)
+    stokes.decomp_to_sources(d)
+    assert calls == {"z_transform": 1, "invert_z": 0}
+    st = stokes.init_stokes(d, params)
+    stokes._rebuild_decomp(grid, st.channels)
+    assert calls == {"z_transform": 2, "invert_z": 1}
 
 
 def test_march_validates_parameters_on_its_first_step_only(params, monkeypatch):
