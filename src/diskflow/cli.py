@@ -63,6 +63,9 @@ _CONFIG_KEYS = {
 }
 _OVERRIDES = {"physical": "physical", "grid": "grid", "time": "time", "spectral": "spectral",
               "initial_data": "data"}
+# the keys among those whose value must be a whole number
+_INTEGER_KEYS = ("grid.n_points", "spectral.k_max", "spectral.n_theta",
+                 "spectral.kato_max_iters", "initial_data.k")
 
 
 def load_config(path):
@@ -124,6 +127,10 @@ def _setup_from_config(cfg):
                if key in cfg.get(section, {}) and key not in ("preset", "file")}
         for section, dest in _OVERRIDES.items()
     }
+    for name in _INTEGER_KEYS:
+        section, key = name.split(".")
+        if not overrides[_OVERRIDES[section]].get(key, 0.0).is_integer():
+            raise ConfigError(f"{name} = {cfg[section][key]!r} is not an integer")
     preset_name = cfg.get("initial_data", {}).get("preset") or exp.get("preset")
     if preset_name is None:
         raise ConfigError("config must name an initial_data preset")

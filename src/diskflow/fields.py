@@ -1,16 +1,16 @@
 """Divergence-free velocity fields on the plane, rigid on the unit disk.
 
 A field is stored spectrally: the angular mean of the tangential velocity
-(profile w), the two first-harmonic stream profiles (psi for the cos channel,
-phi for the sin channel), and stream profiles (psi_k, phi_k) for each higher
-harmonic.  In physical components,
+(profile w) and one stack of stream profiles, the pair (psi_k, phi_k) of
+each harmonic k = 1..k_max (psi for the cos channel, phi for the sin
+channel).  In physical components,
 
-    V_r     = psi/r sin(t) - phi/r cos(t) + sum_k [ k psi_k/r sin(kt) - k phi_k/r cos(kt) ]
-    V_theta = w + (Dpsi) cos(t) + (Dphi) sin(t) + sum_k [ (Dpsi_k) cos(kt) + (Dphi_k) sin(kt) ]
+    V_r     = sum_k [ k psi_k/r sin(kt) - k phi_k/r cos(kt) ]
+    V_theta = w + sum_k [ (Dpsi_k) cos(kt) + (Dphi_k) sin(kt) ]
 
 on the fluid annulus, while on the disk the field is the rigid motion
 ell + omega x^perp.  The translation velocity appears in the mode-1 traces
-(psi(1) = ell_y, phi(1) = -ell_x) and the angular velocity in the mode-0
+(psi_1(1) = ell_y, phi_1(1) = -ell_x) and the angular velocity in the mode-0
 trace (w(1) = omega); higher-mode profiles vanish at r = 1 together with
 their derivative for no-slip data.
 
@@ -84,39 +84,34 @@ class RigidState:
 class ModeDecomposition:
     """Spectral state of a velocity field on one radial grid.
 
-    higher[j] holds the pair (psi_{j+2}, phi_{j+2}); k_max = higher.shape[0]+1
-    is the largest retained harmonic.  Instances are immutable snapshots.
+    profiles[k-1] holds the pair (psi_k, phi_k) of harmonic k, cos channel
+    first; k_max = len(profiles) >= 1 is the largest retained harmonic.
+    psi and phi (mode 1) and higher (modes 2..k_max) are read-only views of
+    it.  Instances are immutable snapshots.
     """
 
     grid: RadialGrid
     w: np.ndarray
-    psi: np.ndarray
-    phi: np.ndarray
-    higher: np.ndarray
+    profiles: np.ndarray
     rigid: RigidState
 
     def __post_init__(self):
         n = self.grid.n_points
-        w = np.asarray(self.w, dtype=float).copy()
-        psi = np.asarray(self.psi, dtype=float).copy()
-        phi = np.asarray(self.phi, dtype=float).copy()
-        higher = np.asarray(self.higher, dtype=float).copy()
-        if w.shape != (n,) or psi.shape != (n,) or phi.shape != (n,):
+        w = np.array(self.w, dtype=float)
+        profiles = np.array(self.profiles, dtype=float)
+        if w.shape != (n,):
             raise InvalidArgument("profile length must match the grid")
-        if higher.ndim != 3 or higher.shape[1] != 2 or (
-            higher.shape[0] and higher.shape[2] != n
-        ):
-            raise InvalidArgument("higher must have shape (k_max-1, 2, n_points)")
-        for a in (w, psi, phi, higher):
+        if profiles.ndim != 3 or profiles.shape[1:] != (2, n) or not len(profiles):
+            raise InvalidArgument("profiles must have shape (k_max, 2, n_points), k_max >= 1")
+        for a in (w, profiles):
             a.flags.writeable = False
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "higher", higher)
+        object.__setattr__(self, "profiles", profiles)
 
-    @property
-    def k_max(self):
-        return self.higher.shape[0] + 1
+    k_max = property(lambda self: self.profiles.shape[0])
+    psi = property(lambda self: self.profiles[0, 0])
+    phi = property(lambda self: self.profiles[0, 1])
+    higher = property(lambda self: self.profiles[1:])
 
 
 @dataclass(frozen=True)
@@ -142,42 +137,25 @@ class PolarField:
 
 def zero_decomposition(grid, k_max=1):
     n = grid.n_points
-    return ModeDecomposition(
-        grid,
-        np.zeros(n),
-        np.zeros(n),
-        np.zeros(n),
-        np.zeros((max(k_max - 1, 0), 2, n)),
-        RigidState(np.zeros(2)),
-    )
+    return ModeDecomposition(grid, np.zeros(n), np.zeros((max(k_max, 1), 2, n)),
+                             RigidState(np.zeros(2)))
 
 
 def decomp_axpy(ca, a, cb=0.0, b=None):
-    """Linear combination ca*a + cb*b of decompositions on one grid."""
+    """Linear combination ca*a + cb*b of decompositions on one grid; the
+    shorter profile stack counts as zero-padded."""
     if b is None:
         b = zero_decomposition(a.grid, a.k_max)
     if a.grid is not b.grid:
         raise GridMismatch("decompositions live on different grids")
-    ka, kb = a.k_max, b.k_max
-    n = a.grid.n_points
-    kk = max(ka, kb)
-    higher = np.zeros((kk - 1, 2, n))
-    if ka > 1:
-        higher[: ka - 1] += ca * a.higher
-    if kb > 1:
-        higher[: kb - 1] += cb * b.higher
+    profiles = np.zeros((max(a.k_max, b.k_max), 2, a.grid.n_points))
+    profiles[: a.k_max] += ca * a.profiles
+    profiles[: b.k_max] += cb * b.profiles
     rigid = RigidState(
         ca * a.rigid.ell + cb * b.rigid.ell,
         ca * a.rigid.omega + cb * b.rigid.omega,
     )
-    return ModeDecomposition(
-        a.grid,
-        ca * a.w + cb * b.w,
-        ca * a.psi + cb * b.psi,
-        ca * a.phi + cb * b.phi,
-        higher,
-        rigid,
-    )
+    return ModeDecomposition(a.grid, ca * a.w + cb * b.w, profiles, rigid)
 
 
 @functools.lru_cache(maxsize=None)
@@ -211,17 +189,12 @@ def _coeffs(samples, k_max):
 
 
 def _stream_profiles(decomp):
-    """Stream profiles of modes 1..K as (channel, mode, node) with their
-    radial derivatives from one stacked ddr; channel 0 is the cos (psi)
-    channel, channel 1 the sin (phi) one."""
-    n = decomp.grid.n_points
-    K = decomp.k_max
-    prof = np.empty((2, K, n))
-    prof[0, 0] = decomp.psi
-    prof[1, 0] = decomp.phi
-    prof[:, 1:] = decomp.higher.transpose(1, 0, 2)
-    dprof = decomp.grid.ddr(prof.reshape(2 * K, n).T).T.reshape(2, K, n)
-    return prof, dprof
+    """The profile stack and its radial derivatives (one stacked ddr), both
+    viewed as (channel, mode, node); channel 0 is the cos (psi) channel,
+    channel 1 the sin (phi) one."""
+    prof = decomp.profiles
+    dprof = decomp.grid.ddr(prof.reshape(-1, prof.shape[-1]).T).T.reshape(prof.shape)
+    return prof.transpose(1, 0, 2), dprof.transpose(1, 0, 2)
 
 
 def velocity_coeffs(decomp):
@@ -290,40 +263,36 @@ def divergence_residual(field, k_max=None):
     return res
 
 
-def decompose(field, params, k_max, check_div=True, div_tol=1e-6):
+# decompose's divergence tolerance, relative to field scale / smallest spacing
+DIV_TOL = 1e-6
+
+
+def decompose(field, params, k_max):
     """Split physical samples into the spectral state.
 
     The field must be divergence-free in the discrete sense (same difference
-    stencil as the rest of the module); the profiles are read off the radial
-    velocity harmonics and the tangential mean, and the rigid data from the
-    boundary traces.
+    stencil as the rest of the module, tolerance DIV_TOL); the profiles are
+    read off the radial velocity harmonics and the tangential mean, and the
+    rigid data from the boundary traces.
     """
     grid = field.grid
     if field.n_theta < 2 * k_max + 2:
         raise InsufficientAngularResolution(
             f"n_theta = {field.n_theta} cannot resolve k_max = {k_max}"
         )
-    if check_div:
-        scale = max(np.abs(field.v_r).max(), np.abs(field.v_theta).max(), 1e-300)
-        res = divergence_residual(field, k_max)
-        if res > div_tol * scale * (1.0 / grid.spacings.min()):
-            raise NotDivergenceFree(
-                f"divergence residual {res:.3e} exceeds tolerance for scale {scale:.3e}"
-            )
+    scale = max(np.abs(field.v_r).max(), np.abs(field.v_theta).max(), 1e-300)
+    res = divergence_residual(field, k_max)
+    if res > DIV_TOL * scale * (1.0 / grid.spacings.min()):
+        raise NotDivergenceFree(
+            f"divergence residual {res:.3e} exceeds tolerance for scale {scale:.3e}"
+        )
+    K = max(k_max, 1)
     r = grid.nodes
-    ar, br = _coeffs(field.v_r, max(k_max, 1))
-    at, _bt = _coeffs(field.v_theta, max(k_max, 1))
-    w = at[0]
-    psi = r * br[1]
-    phi = -r * ar[1]
-    n_high = max(k_max - 1, 0)
-    higher = np.zeros((n_high, 2, grid.n_points))
-    for j in range(n_high):
-        k = j + 2
-        higher[j, 0] = r * br[k] / k
-        higher[j, 1] = -r * ar[k] / k
-    rigid = RigidState(np.array([-phi[0], psi[0]]), float(w[0]))
-    return ModeDecomposition(grid, w, psi, phi, higher, rigid)
+    k = np.arange(1, K + 1)[:, None]
+    ar, br = _coeffs(field.v_r, K)
+    at, _bt = _coeffs(field.v_theta, K)
+    profiles = np.stack([r * br[1:] / k, -r * ar[1:] / k], axis=1)
+    return ModeDecomposition(grid, at[0], profiles, _trace_rigid(profiles, at[0, 0]))
 
 
 def reconstruct(decomp, n_theta=None):
@@ -344,11 +313,15 @@ def reconstruct(decomp, n_theta=None):
     return PolarField(grid, v_r, v_theta)
 
 
+def _trace_rigid(profiles, omega):
+    """Rigid data translating with the mode-1 traces of a profile stack,
+    ell = (-phi_1(1), psi_1(1)), and rotating at omega."""
+    return RigidState(np.array([-profiles[0, 1, 0], profiles[0, 0, 0]]), float(omega))
+
+
 def extract_rigid(decomp):
     """Rigid data from the boundary traces of the mode-0/1 profiles."""
-    return RigidState(
-        np.array([-decomp.phi[0], decomp.psi[0]]), float(decomp.w[0])
-    )
+    return _trace_rigid(decomp.profiles, decomp.w[0])
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +421,12 @@ def project_leray(field, params, k_max=None, ball_ell=(0.0, 0.0), ball_omega=0.0
     rhs += (grid.ddr_matrix_t() @ (w * tangential).T).T.reshape(2, k_max, n)
     coupling = params.m / math.pi
     rhs[:, 0, 0] += coupling * np.array([ball_ell[1], -ball_ell[0]])  # traces psi(1), -phi(1)
-    prof = np.zeros((2, k_max, n))
+    prof = np.zeros((k_max, 2, n))
     for j in range(k_max):
         first = 0 if j == 0 else 1  # higher modes pin s(1) = 0
         fac, scale = _leray_operator(grid, coupling if j == 0 else 0.0, j + 1, first == 1)
-        prof[:, j, first:] = _banded_spd_solve(fac, scale, rhs[:, j, first:])
-    psi, phi = prof[0, 0], prof[1, 0]
-    rigid = RigidState(np.array([-phi[0], psi[0]]), float(ball_omega))
-    return ModeDecomposition(grid, at[0], psi, phi, prof[:, 1:].transpose(1, 0, 2), rigid)
+        prof[j, :, first:] = _banded_spd_solve(fac, scale, rhs[:, j, first:])
+    return ModeDecomposition(grid, at[0], prof, _trace_rigid(prof, ball_omega))
 
 
 def kirchhoff_test_field(grid, direction):
@@ -467,14 +438,10 @@ def kirchhoff_test_field(grid, direction):
     identity)."""
     if direction not in (1, 2):
         raise InvalidArgument("direction must be 1 or 2")
-    n = grid.n_points
-    inv_r = 1.0 / grid.nodes
-    zero = np.zeros(n)
-    if direction == 1:
-        rigid = RigidState(np.array([-1.0, 0.0]))
-        return ModeDecomposition(grid, zero, zero.copy(), inv_r, np.zeros((0, 2, n)), rigid)
-    rigid = RigidState(np.array([0.0, -1.0]))
-    return ModeDecomposition(grid, zero, -inv_r, zero.copy(), np.zeros((0, 2, n)), rigid)
+    sign, ell = (1.0, [-1.0, 0.0]) if direction == 1 else (-1.0, [0.0, -1.0])
+    profiles = np.zeros((1, 2, grid.n_points))
+    profiles[0, 2 - direction] = sign / grid.nodes  # phi = 1/r or psi = -1/r
+    return ModeDecomposition(grid, np.zeros(grid.n_points), profiles, RigidState(np.array(ell)))
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +466,8 @@ def inner_l2(a, b, params):
             np.sum(w * (grid.ddr(pa) * grid.ddr(pb) + (k * k) * pa * pb / (r * r)))
         )
 
-    total += math.pi * (pair(1, a.psi, b.psi) + pair(1, a.phi, b.phi))
-    for j in range(min(a.k_max, b.k_max) - 1):
-        k = j + 2
-        total += math.pi * (
-            pair(k, a.higher[j, 0], b.higher[j, 0])
-            + pair(k, a.higher[j, 1], b.higher[j, 1])
-        )
+    for k, (pa, pb) in enumerate(zip(a.profiles, b.profiles), start=1):
+        total += math.pi * (pair(k, pa[0], pb[0]) + pair(k, pa[1], pb[1]))
     mball = params.m
     total += mball * float(np.dot(a.rigid.ell, b.rigid.ell))
     total += 0.5 * mball * a.rigid.omega * b.rigid.omega
@@ -556,7 +518,7 @@ def fluid_lp_norm(decomp, p, n_theta=None):
         w = grid.quad_weights
         k = np.arange(1, decomp.k_max + 1)[:, None]
         prof, dprof = _stream_profiles(decomp)
-        prof *= k / grid.nodes
+        prof = prof * (k / grid.nodes)
         energy = (dprof * dprof + prof * prof) @ w
         return math.sqrt(2.0 * math.pi * float(np.sum(w * decomp.w**2))
                          + math.pi * float(np.sum(energy)))
@@ -622,16 +584,18 @@ def added_mass_pairing(decomp, direction=1):
 # ---------------------------------------------------------------------------
 
 
+def _columns(k_max):
+    """Field-file column names: radius, W, then the profile stack row by
+    row (Psi, Phi for mode 1, psi_k, phi_k for k >= 2)."""
+    return ["r", "W", "Psi", "Phi"] + [f"{c}_{k}" for k in range(2, k_max + 1)
+                                       for c in ("psi", "phi")]
+
+
 def save_field_file(path, decomp):
     """Columnar text: `# ell_x ell_y omega`, header row, one row per node."""
     rig = decomp.rigid
-    cols = ["r", "W", "Psi", "Phi"]
-    for j in range(decomp.k_max - 1):
-        cols += [f"psi_{j + 2}", f"phi_{j + 2}"]
-    data = [decomp.grid.nodes, decomp.w, decomp.psi, decomp.phi]
-    for j in range(decomp.k_max - 1):
-        data += [decomp.higher[j, 0], decomp.higher[j, 1]]
-    write_columns(path, cols, zip(*data),
+    data = [decomp.grid.nodes, decomp.w, *decomp.profiles.reshape(-1, decomp.grid.n_points)]
+    write_columns(path, _columns(decomp.k_max), zip(*data),
                   f"{rig.ell[0]:.17e} {rig.ell[1]:.17e} {rig.omega:.17e}")
 
 
@@ -667,9 +631,7 @@ def load_field_file(path, grid=None):
     k_max = 1
     while f"psi_{k_max + 1}" in header or f"phi_{k_max + 1}" in header:
         k_max += 1
-    required = ["r", "W", "Psi", "Phi"]
-    for k in range(2, k_max + 1):
-        required += [f"psi_{k}", f"phi_{k}"]
+    required = _columns(k_max)
     missing = [name for name in required if name not in header]
     if missing:
         raise InvalidArgument(f"field file lacks the column(s) {', '.join(missing)}")
@@ -684,9 +646,5 @@ def load_field_file(path, grid=None):
         grid = RadialGrid(nodes, nodes[-1], 0.0)
     elif grid.n_points != nodes.size or not np.allclose(grid.nodes, nodes, rtol=0, atol=1e-12):
         raise GridMismatch("field file nodes do not match the supplied grid")
-    higher = np.zeros((k_max - 1, 2, grid.n_points))
-    for j in range(k_max - 1):
-        higher[j, 0] = cols[f"psi_{j + 2}"]
-        higher[j, 1] = cols[f"phi_{j + 2}"]
-    rigid = RigidState(np.array([ex, ey]), om)
-    return ModeDecomposition(grid, cols["W"], cols["Psi"], cols["Phi"], higher, rigid)
+    profiles = np.array([cols[name] for name in required[2:]]).reshape(k_max, 2, -1)
+    return ModeDecomposition(grid, cols["W"], profiles, RigidState(np.array([ex, ey]), om))

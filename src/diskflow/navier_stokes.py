@@ -73,6 +73,8 @@ class NonlinearConfig:
     blowup_factor: float = 10.0
 
     def __post_init__(self):
+        if self.k_max < 1:
+            raise InvalidArgument(f"k_max must be >= 1, got {self.k_max}")
         # Orszag's 2/3 rule: the product's top mode 2*k_max must alias
         # beyond k_max, i.e. n_theta - 2*k_max > k_max
         if self.dealias and self.n_theta < 3 * self.k_max + 1:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynbc import DynBCParams, ScalarModeState
 from .elliptic import invert_z
-from .errors import UnknownPreset
+from .errors import InvalidArgument, UnknownPreset
 from .fields import ModeDecomposition, RigidState
 from .grid import PhysicalParams, build_grid
 from .navier_stokes import NonlinearConfig
@@ -42,17 +42,14 @@ def _bump(r, center=1.5, width=2.0):
     return np.exp(-width * (r - center) ** 2)
 
 
-def _mode1_bump_data(grid, amplitude):
-    """Mode-1 data with unit translation trace and rapidly decaying stream
-    profile: the transformed unknown is a compact bump scaled so that the
-    profile decays faster than 1/r (total fluid weight -amplitude)."""
-    r = grid.nodes
-    g = _bump(r)
+def _mode1_bump_phi(grid, amplitude):
+    """Sin-channel mode-1 profile with translation trace ell_x = amplitude
+    that decays rapidly: its transformed unknown is a compact bump scaled so
+    that the profile decays faster than 1/r (total fluid weight
+    -amplitude)."""
+    g = _bump(grid.nodes)
     scale = -amplitude / float(np.sum(grid.quad_weights * g))
-    phi = -invert_z(grid, [scale * g], (1,), [amplitude])[0]
-    zero = np.zeros_like(r)
-    rigid = RigidState(np.array([amplitude, 0.0]), 0.0)
-    return ModeDecomposition(grid, zero, zero.copy(), phi, np.zeros((0, 2, r.size)), rigid)
+    return -invert_z(grid, [scale * g], (1,), [amplitude])[0]
 
 
 PRESETS = {
@@ -222,20 +219,20 @@ def build_setup(preset, overrides=None):
     kind = data.get("kind", "mode1-bump")
     amp = float(data.get("amplitude", 1.0))
     k_max = int(sections["spectral"].get("k_max", 2))
+    # the data's own harmonic: the stack holds it even beyond k_max
+    k = int(data.get("k", 3)) if kind == "higher-bump" else 1
+    if k < 1:
+        raise InvalidArgument(f"higher-bump data needs a harmonic k >= 1, got {k}")
+    r = grid.nodes
+    profiles = np.zeros((max(k_max, k), 2, r.size))
+    ell = np.zeros(2)
     if kind == "mode1-bump":
-        d0 = _mode1_bump_data(grid, amp)
+        profiles[0, 1] = _mode1_bump_phi(grid, amp)
+        ell[0] = amp
     elif kind == "mode1-tail":
-        r = grid.nodes
         gamma = float(data.get("gamma", 0.4))
-        psi0 = amp * r ** (-gamma)
-        d0 = ModeDecomposition(
-            grid,
-            np.zeros_like(r),
-            psi0,
-            np.zeros_like(r),
-            np.zeros((0, 2, r.size)),
-            RigidState(np.array([0.0, amp]), 0.0),
-        )
+        profiles[0, 0] = amp * r ** (-gamma)
+        ell[1] = amp
         # squared L2 content of the (static) stream tail beyond r_max:
         # pi * amp^2 (1 + gamma^2) r_max^(-2 gamma) / (2 gamma)
         out["base_tail_norm2"] = (
@@ -243,26 +240,10 @@ def build_setup(preset, overrides=None):
         )
         out["fit_window"] = tuple(data.get("fit_window", (10.0, 100.0)))
     elif kind == "higher-bump":
-        r = grid.nodes
-        k = int(data.get("k", 3))
-        prof = amp * (r - 1.0) ** 2 * _bump(r)
-        higher = np.zeros((max(k_max - 1, k - 1), 2, r.size))
-        higher[k - 2, 0] = prof
-        d0 = ModeDecomposition(
-            grid,
-            np.zeros_like(r),
-            np.zeros_like(r),
-            np.zeros_like(r),
-            higher,
-            RigidState(np.zeros(2), 0.0),
-        )
+        profiles[k - 1, 0] = amp * (r - 1.0) ** 2 * _bump(r)
     else:
         raise UnknownPreset(f"unknown data kind {kind!r}")
-    if d0.k_max < k_max:
-        pad = np.zeros((k_max - 1, 2, grid.n_points))
-        if d0.k_max > 1:
-            pad[: d0.k_max - 1] = d0.higher
-        d0 = ModeDecomposition(grid, d0.w, d0.psi, d0.phi, pad, d0.rigid)
+    d0 = ModeDecomposition(grid, np.zeros_like(r), profiles, RigidState(ell, 0.0))
     out["decomp0"] = d0
     out["state"] = init_stokes(d0, params)
     if preset.experiment in ("evolve-ns", "kato"):

@@ -30,6 +30,7 @@ from .errors import InvalidArgument, NonpositiveTime
 from .fields import (
     ModeDecomposition,
     RigidState,
+    _trace_rigid,
     added_mass_pairing,
     decomp_axpy,
     fluid_lp_norm,
@@ -166,8 +167,7 @@ def _rebuild_decomp(grid, channels):
     psi = invert_z(grid, z, _orders(len(pairs)), ell)
     psi[1::2] *= -1.0
     rigid = RigidState(ell[[1, 0]], float(w_state.ell))
-    higher = psi[2:].reshape(-1, 2, grid.n_points)
-    return ModeDecomposition(grid, w_state.y, psi[0], psi[1], higher, rigid)
+    return ModeDecomposition(grid, w_state.y, psi.reshape(-1, 2, grid.n_points), rigid)
 
 
 def _packed_system(grid, params, n_high, theta):
@@ -240,8 +240,7 @@ def decomp_to_sources(decomp):
     feed the mode-1 z systems (their boundary scalars are 2*ell)."""
     grid = decomp.grid
     rig = decomp.rigid
-    profiles = np.concatenate([[decomp.psi, decomp.phi], decomp.higher.reshape(-1, grid.n_points)])
-    z = z_transform(grid, profiles, _orders(decomp.k_max))
+    z = z_transform(grid, decomp.profiles.reshape(-1, grid.n_points), _orders(decomp.k_max))
     z[1::2] *= -1.0
     return (
         ((decomp.w, float(rig.omega)),),
@@ -261,12 +260,8 @@ def lamb_oseen_profile(grid, t, nu, M_vec):
     M_vec = np.asarray(M_vec, dtype=float).reshape(2)
     r = grid.nodes
     prof = (1.0 - np.exp(-(r * r) / (4.0 * nu * t))) / (2.0 * math.pi * r)
-    psi = M_vec[1] * prof
-    phi = -M_vec[0] * prof
-    rigid = RigidState(np.array([-phi[0], psi[0]]), 0.0)
-    return ModeDecomposition(
-        grid, np.zeros_like(r), psi, phi, np.zeros((0, 2, grid.n_points)), rigid
-    )
+    profiles = np.array([[M_vec[1] * prof, -M_vec[0] * prof]])
+    return ModeDecomposition(grid, np.zeros_like(r), profiles, _trace_rigid(profiles, 0.0))
 
 
 def recover_mode1_pressure(state):

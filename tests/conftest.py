@@ -40,7 +40,7 @@ def random_decomposition(grid, rng, k_max=4, noslip=False):
             higher[j, c] = smooth_profile(grid, rng) * (r - 1.0) ** 2 / (1 + (r - 1) ** 2)
             higher[j, c][0] = 0.0
     rigid = RigidState(np.array([-phi[0], psi[0]]), float(w[0]))
-    return ModeDecomposition(grid, w, psi, phi, higher, rigid)
+    return ModeDecomposition(grid, w, np.concatenate([[[psi, phi]], higher]), rigid)
 
 
 def random_polar_field(grid, rng, n_theta=32, kmax=7, with_ball=True):

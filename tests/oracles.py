@@ -118,7 +118,7 @@ def per_mode_project(field, params, k_max, ball_ell=(0.0, 0.0)):
         higher[j, 0] = solve(k, br[:, k], at[:, k], 0.0, 1.0)
         higher[j, 1] = solve(k, ar[:, k], bt[:, k], 0.0, -1.0)
     rigid = RigidState(np.array([-phi[0], psi[0]]), 0.0)
-    return ModeDecomposition(grid, at[:, 0], psi, phi, higher, rigid)
+    return ModeDecomposition(grid, at[:, 0], np.concatenate([[[psi, phi]], higher]), rigid)
 
 
 def physical_space_convection(decomp, params, k_max, n_theta):

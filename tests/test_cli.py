@@ -405,3 +405,35 @@ def test_every_documented_key_is_accepted(tmp_path):
         "p = 2\nq = 1.5\n"
     )
     assert set(cli.load_config(tmp_path / "fit.cfg")["fit"]) == set(cli._CONFIG_KEYS["fit"])
+
+
+def _cfg_text(sections):
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+@pytest.mark.parametrize("preset, kind, section, key, value, message", [
+    # a count with a fraction would otherwise be truncated and run
+    *((preset, kind, section, key, value, f"{section}.{key} = '{value}' is not an integer")
+      for preset, kind, section, key, value in (
+          ("higher-modes-only", "evolve-stokes", "grid", "n_points", "256.9"),
+          ("higher-modes-only", "evolve-stokes", "spectral", "k_max", "4.6"),
+          ("higher-modes-only", "evolve-stokes", "initial_data", "k", "3.5"),
+          ("kato-small", "kato", "spectral", "n_theta", "16.5"),
+          ("kato-small", "kato", "spectral", "kato_max_iters", "8.2"))),
+    # no harmonic at all: an IndexError, or a bump written into the top mode
+    ("ns-small-q32", "evolve-ns", "spectral", "k_max", "0", "k_max must be >= 1, got 0"),
+    ("ns-small-q32", "evolve-ns", "spectral", "k_max", "-1", "k_max must be >= 1, got -1"),
+    ("higher-modes-only", "evolve-stokes", "initial_data", "k", "0",
+     "higher-bump data needs a harmonic k >= 1, got 0"),
+])
+def test_bad_count_is_rejected(tmp_path, capsys, preset, kind, section, key, value, message):
+    out = tmp_path / "out"
+    sections = {"experiment": {"kind": kind}, "initial_data": {"preset": preset},
+                "grid": {"n_points": 128}, "time": {"t_end": 0.1}, "output": {"dir": out}}
+    sections.setdefault(section, {})[key] = value
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text(_cfg_text(sections))
+    assert cli.main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not (out / "summary.txt").exists()

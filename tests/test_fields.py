@@ -48,9 +48,7 @@ def test_rigid_extension_with_harmonic_tails(grid, params):
     psi = ell0[1] / r
     phi = -ell0[0] / r
     w = omega0 / r**2  # mode-0 tangential harmonic tail w(1) = omega0
-    d = F.ModeDecomposition(
-        grid, w, psi, phi, np.zeros((0, 2, n)), F.RigidState(ell0, omega0)
-    )
+    d = F.ModeDecomposition(grid, w, [[psi, phi]], F.RigidState(ell0, omega0))
     f = F.reconstruct(d)
     d2 = F.decompose(f, params, 1)
     assert np.allclose(d2.rigid.ell, ell0, atol=1e-13)
@@ -76,12 +74,9 @@ def test_mode3_angular_projection_oracle(grid, params):
     # of the samples at high angular resolution
     r = grid.nodes
     psi3 = (r - 1.0) ** 2 * np.exp(-((r - 2.0) ** 2))
-    higher = np.zeros((2, 2, grid.n_points))
-    higher[1, 0] = psi3
-    d = F.ModeDecomposition(
-        grid, np.zeros_like(r), np.zeros_like(r), np.zeros_like(r), higher,
-        F.RigidState(np.zeros(2), 0.0),
-    )
+    profiles = np.zeros((3, 2, grid.n_points))
+    profiles[2, 0] = psi3
+    d = F.ModeDecomposition(grid, np.zeros_like(r), profiles, F.RigidState(np.zeros(2), 0.0))
     nth = 128
     f = F.reconstruct(d, nth)
     th = 2.0 * math.pi * np.arange(nth) / nth
@@ -96,8 +91,7 @@ def test_mode3_angular_projection_oracle(grid, params):
 def test_reconstruct_mode0_profile(grid):
     r = grid.nodes
     d = F.ModeDecomposition(
-        grid, r**-3.0, np.zeros_like(r), np.zeros_like(r),
-        np.zeros((0, 2, grid.n_points)), F.RigidState(np.zeros(2), 1.0),
+        grid, r**-3.0, np.zeros((1, 2, grid.n_points)), F.RigidState(np.zeros(2), 1.0)
     )
     f = F.reconstruct(d, 16)
     assert np.max(np.abs(f.v_r)) == 0.0
@@ -109,8 +103,8 @@ def test_reconstruct_mode1_derivative_stencil(grid):
     # second-order derivative stencil error
     r = grid.nodes
     d = F.ModeDecomposition(
-        grid, np.zeros_like(r), 1.0 / r, np.zeros_like(r),
-        np.zeros((0, 2, grid.n_points)), F.RigidState(np.array([0.0, 1.0]), 0.0),
+        grid, np.zeros_like(r), [[1.0 / r, np.zeros_like(r)]],
+        F.RigidState(np.array([0.0, 1.0]), 0.0),
     )
     nth = 16
     f = F.reconstruct(d, nth)
@@ -148,8 +142,8 @@ def test_remainder_orthogonality(grid, params):
     rng = np.random.default_rng(3)
     d = random_decomposition(grid, rng, k_max=5)
     rem = F.ModeDecomposition(
-        grid, np.zeros(grid.n_points), np.zeros(grid.n_points),
-        np.zeros(grid.n_points), d.higher, F.RigidState(np.zeros(2), 0.0),
+        grid, np.zeros(grid.n_points), np.concatenate([np.zeros((1, 2, grid.n_points)), d.higher]),
+        F.RigidState(np.zeros(2), 0.0),
     )
     f = F.reconstruct(rem, 64)
     th = 2.0 * math.pi * np.arange(64) / 64
@@ -339,8 +333,7 @@ def test_weighted_norm_closed_form(params):
     r = g.nodes
     params_pi = PhysicalParams(nu=1.0, m=math.pi)
     d = F.ModeDecomposition(
-        g, r**-3.0, np.zeros_like(r), np.zeros_like(r),
-        np.zeros((0, 2, g.n_points)), F.RigidState(np.zeros(2), 1.0),
+        g, r**-3.0, np.zeros((1, 2, g.n_points)), F.RigidState(np.zeros(2), 1.0)
     )
     val = F.weighted_field_norm(g, d, 2.0, params_pi)
     assert abs(val - math.sqrt(math.pi)) < 1e-3 * math.sqrt(math.pi)
@@ -460,3 +453,112 @@ def test_project_leray_rejects_nonfinite_field(grid, params):
     vr[grid.n_points // 3, 5] = np.nan
     with pytest.raises(SolverFailure):
         F.project_leray(F.PolarField(grid, vr, f.v_theta), params, 4)
+
+
+def _stack_given(hyp, **extra):
+    """Decorator running check(grid, d, **extra) over random grids
+    (n_points, r_max, stretch) and random decompositions with k_max 1..5."""
+    hst = hyp.strategies
+
+    def wrap(check):
+        @hyp.settings(max_examples=25, deadline=None, database=None)
+        @hyp.given(
+            n_points=hst.integers(16, 1024),
+            r_max=hst.floats(2.5, 300.0),
+            stretch=hst.one_of(hst.just(0.0), hst.floats(0.1, 3.0)),
+            k_max=hst.integers(1, 5),
+            seed=hst.integers(0, 2**32 - 1),
+            **extra,
+        )
+        def run(n_points, r_max, stretch, k_max, seed, **kw):
+            grid = build_grid(n_points, r_max, stretch)
+            check(grid, random_decomposition(grid, np.random.default_rng(seed), k_max), **kw)
+
+        return run
+
+    return wrap
+
+
+def test_decompose_reconstruct_property(params):
+    # decompose inverts reconstruct on the whole profile stack, w and the
+    # rigid data
+    hyp = pytest.importorskip("hypothesis")
+
+    @_stack_given(hyp)
+    def check(grid, d):
+        d2 = F.decompose(F.reconstruct(d), params, d.k_max)
+        scale = max(np.abs(d.profiles).max(), np.abs(d.w).max())
+        for got, want in ((d2.profiles, d.profiles), (d2.w, d.w),
+                          (d2.rigid.ell, d.rigid.ell), (d2.rigid.omega, d.rigid.omega)):
+            assert np.max(np.abs(got - want)) <= 1e-10 * scale
+
+    check()
+
+
+def test_field_file_roundtrip_property(tmp_path):
+    # the field file holds every value exactly, with or without the grid
+    hyp = pytest.importorskip("hypothesis")
+    path = tmp_path / "field.txt"
+
+    @_stack_given(hyp)
+    def check(grid, d):
+        F.save_field_file(path, d)
+        for d2 in (F.load_field_file(path, grid), F.load_field_file(path)):
+            assert np.array_equal(d2.grid.nodes, grid.nodes)
+            for got, want in ((d2.profiles, d.profiles), (d2.w, d.w),
+                              (d2.rigid.ell, d.rigid.ell), (d2.rigid.omega, d.rigid.omega)):
+                assert np.array_equal(got, want)
+
+    check()
+
+
+def test_decomp_axpy_pads_the_shorter_stack_property():
+    # operands of unequal k_max combine as their zero-padded stacks
+    hyp = pytest.importorskip("hypothesis")
+    hst = hyp.strategies
+
+    @_stack_given(hyp, k_other=hst.integers(1, 5), ca=hst.floats(-3.0, 3.0),
+                  cb=hst.floats(-3.0, 3.0))
+    def check(grid, a, k_other, ca, cb):
+        b = random_decomposition(grid, np.random.default_rng(k_other), k_max=k_other)
+        K = max(a.k_max, b.k_max)
+
+        def padded(d):
+            extra = np.zeros((K - d.k_max, 2, grid.n_points))
+            return F.ModeDecomposition(grid, d.w, np.concatenate([d.profiles, extra]), d.rigid)
+
+        got = F.decomp_axpy(ca, a, cb, b)
+        ref = F.decomp_axpy(ca, padded(a), cb, padded(b))
+        assert got.k_max == K
+        assert np.array_equal(got.profiles, ca * padded(a).profiles + cb * padded(b).profiles)
+        for x, y in ((got.profiles, ref.profiles), (got.w, ref.w),
+                     (got.rigid.ell, ref.rigid.ell), (got.rigid.omega, ref.rigid.omega)):
+            assert np.array_equal(x, y)
+
+    check()
+
+
+def test_mode_views_share_the_stack_property():
+    # psi, phi and higher are read-only views of the one profile stack, which
+    # the constructor copies and checks
+    hyp = pytest.importorskip("hypothesis")
+
+    @_stack_given(hyp)
+    def check(grid, d):
+        n = grid.n_points
+        for view, shape in ((d.psi, (n,)), (d.phi, (n,)), (d.higher, (d.k_max - 1, 2, n))):
+            assert view.shape == shape and view.base is d.profiles
+            assert not view.flags.writeable
+        assert np.array_equal(d.psi, d.profiles[0, 0]) and np.array_equal(d.phi, d.profiles[0, 1])
+        assert not d.profiles.flags.writeable and not d.w.flags.writeable
+        with pytest.raises(ValueError):
+            d.psi[0] = 1.0
+        src = np.array(d.profiles)
+        copy = F.ModeDecomposition(grid, d.w, src, d.rigid)
+        src += 1.0
+        assert np.array_equal(copy.profiles, d.profiles)
+        for bad in (src[:0], src[:, :1], src[..., 1:]):
+            with pytest.raises(InvalidArgument):
+                F.ModeDecomposition(grid, d.w, bad, d.rigid)
+
+    check()

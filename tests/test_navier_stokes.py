@@ -42,10 +42,9 @@ def mode1_bump(grid, eps):
     scale = -eps / float(np.sum(grid.quad_weights * g))
     phi = -invert_z(grid, [scale * g], (1,), [eps])[0]
     n = grid.n_points
-    return ModeDecomposition(
-        grid, np.zeros(n), np.zeros(n), phi, np.zeros((1, 2, n)),
-        RigidState(np.array([eps, 0.0]), 0.0),
-    )
+    profiles = np.zeros((2, 2, n))
+    profiles[0, 1] = phi
+    return ModeDecomposition(grid, np.zeros(n), profiles, RigidState(np.array([eps, 0.0]), 0.0))
 
 
 def test_nonlinear_term_zero_field(grid, params):
@@ -59,10 +58,7 @@ def test_nonlinear_term_rigid_everywhere(grid, params):
     # advecting factor vanishes, so the term is exactly zero
     r = grid.nodes
     ell = np.array([0.4, -0.7])
-    d = ModeDecomposition(
-        grid, np.zeros_like(r), ell[1] * r, -ell[0] * r,
-        np.zeros((0, 2, grid.n_points)), RigidState(ell, 0.0),
-    )
+    d = ModeDecomposition(grid, np.zeros_like(r), [[ell[1] * r, -ell[0] * r]], RigidState(ell, 0.0))
     cfg = ns.NonlinearConfig(k_max=3, n_theta=16)
     out = ns.nonlinear_term(d, params, cfg)
     for arr in (out.w, out.psi, out.phi, out.higher):
@@ -74,8 +70,7 @@ def test_mode_coupling_audit(grid, params):
     # mode-1 data: the quadratic term populates only modes 0, 1 and 2
     d = mode1_bump(grid, 1.0)
     d = ModeDecomposition(
-        grid, d.w, d.psi, d.phi,
-        np.concatenate([d.higher, np.zeros((3, 2, grid.n_points))]), d.rigid,
+        grid, d.w, np.concatenate([d.profiles, np.zeros((3, 2, grid.n_points))]), d.rigid
     )
     cfg = ns.NonlinearConfig(k_max=5, n_theta=32)
     out = ns.nonlinear_term(d, params, cfg)
@@ -89,8 +84,8 @@ def test_nonlinear_term_brute_force_convolution(grid, params):
     d = mode1_bump(grid, 0.7)
     cfg16 = ns.NonlinearConfig(k_max=4, n_theta=16)
     cfg64 = ns.NonlinearConfig(k_max=4, n_theta=64)
-    pad = np.zeros((3, 2, grid.n_points))
-    d = ModeDecomposition(grid, d.w, d.psi, d.phi, pad, d.rigid)
+    pad = np.zeros((2, 2, grid.n_points))
+    d = ModeDecomposition(grid, d.w, np.concatenate([d.profiles, pad]), d.rigid)
     a = ns.nonlinear_term(d, params, cfg16)
     b = ns.nonlinear_term(d, params, cfg64)
     scale = max(
@@ -140,8 +135,7 @@ def test_nonlinear_term_matches_physical_space_oracle(params, k_max):
     grid = build_grid(256, 20.0, 1.5)
     rng = np.random.default_rng(100 + k_max)
     d = random_decomposition(grid, rng, k_max=k_max)
-    d = ModeDecomposition(grid, d.w, d.psi, d.phi, d.higher,
-                          RigidState(rng.standard_normal(2), d.rigid.omega))
+    d = ModeDecomposition(grid, d.w, d.profiles, RigidState(rng.standard_normal(2), d.rigid.omega))
     for n_theta in sorted({3 * k_max + 1, 16, 32}):
         cfg = ns.NonlinearConfig(k_max=k_max, n_theta=n_theta)
         new = ns.nonlinear_term(d, params, cfg)
@@ -155,8 +149,7 @@ def test_nonlinear_term_block_edges(params, n):
     grid = build_grid(n, 20.0, 1.5)
     rng = np.random.default_rng(n)
     d = random_decomposition(grid, rng, k_max=4)
-    d = ModeDecomposition(grid, d.w, d.psi, d.phi, d.higher,
-                          RigidState(rng.standard_normal(2), d.rigid.omega))
+    d = ModeDecomposition(grid, d.w, d.profiles, RigidState(rng.standard_normal(2), d.rigid.omega))
     for n_theta in (13, 16):
         new = ns.nonlinear_term(d, params, ns.NonlinearConfig(k_max=4, n_theta=n_theta))
         ref = physical_space_convection(d, params, 4, n_theta)
@@ -218,8 +211,7 @@ def test_energy_matches_rigid_bracket(grid, params):
     # ball part of the kinetic energy equals (m|ell|^2 + J omega^2)/2 for a
     # homogeneous disk
     d = mode1_bump(grid, 0.3)
-    d = ModeDecomposition(grid, d.w, d.psi, d.phi, d.higher,
-                          RigidState(d.rigid.ell, 0.8))
+    d = ModeDecomposition(grid, d.w, d.profiles, RigidState(d.rigid.ell, 0.8))
     st = stokes.init_stokes(d, params)
     E = ns.kinetic_energy(st)
     from diskflow.fields import fluid_lp_norm

@@ -53,8 +53,8 @@ def test_init_pure_translation_harmonic_tail(grid, params):
     # transformed unknown is supported on the ball alone
     r = grid.nodes
     d = ModeDecomposition(
-        grid, np.zeros_like(r), np.zeros_like(r), -1.0 / r,
-        np.zeros((0, 2, grid.n_points)), RigidState(np.array([1.0, 0.0]), 0.0),
+        grid, np.zeros_like(r), [[np.zeros_like(r), -1.0 / r]],
+        RigidState(np.array([1.0, 0.0]), 0.0),
     )
     st = stokes.init_stokes(d, params)
     assert np.max(np.abs(st.z_phi.y)) < 1e-10
@@ -81,12 +81,9 @@ def test_higher_mode_isolation(grid, params):
     # single k = 3 bump: modes 0, 1 stay identically zero and the field norm
     # decays monotonically
     r = grid.nodes
-    higher = np.zeros((3, 2, grid.n_points))
-    higher[1, 0] = (r - 1.0) ** 2 * np.exp(-2.0 * (r - 1.5) ** 2)
-    d = ModeDecomposition(
-        grid, np.zeros_like(r), np.zeros_like(r), np.zeros_like(r), higher,
-        RigidState(np.zeros(2), 0.0),
-    )
+    profiles = np.zeros((4, 2, grid.n_points))
+    profiles[2, 0] = (r - 1.0) ** 2 * np.exp(-2.0 * (r - 1.5) ** 2)
+    d = ModeDecomposition(grid, np.zeros_like(r), profiles, RigidState(np.zeros(2), 0.0))
     st = stokes.init_stokes(d, params)
     prev = weighted_field_norm(grid, st.decomp, 2.0, params)
     for j in range(20):
@@ -189,8 +186,8 @@ def test_recover_mode1_pressure(grid, params):
     # steady harmonic channel: fluid z = 0 with nonzero ball value
     r = grid.nodes
     d = ModeDecomposition(
-        grid, np.zeros_like(r), np.zeros_like(r), -1.0 / r,
-        np.zeros((0, 2, grid.n_points)), RigidState(np.array([1.0, 0.0]), 0.0),
+        grid, np.zeros_like(r), [[np.zeros_like(r), -1.0 / r]],
+        RigidState(np.array([1.0, 0.0]), 0.0),
     )
     st1 = stokes.init_stokes(d, params)
     bq, bp = stokes.recover_mode1_pressure(st1)
@@ -235,10 +232,7 @@ def test_asymptotic_momenta_cases(grid):
     zero = np.zeros_like(r)
     # m = pi: zero total momentum whatever the kick
     p_pi = PhysicalParams(nu=1.0, m=math.pi)
-    d = ModeDecomposition(
-        grid, zero, zero, -1.0 / r, np.zeros((0, 2, grid.n_points)),
-        RigidState(np.array([1.0, 0.0]), 0.0),
-    )
+    d = ModeDecomposition(grid, zero, [[zero, -1.0 / r]], RigidState(np.array([1.0, 0.0]), 0.0))
     st = stokes.init_stokes(d, p_pi)
     mom = stokes.asymptotic_momenta(st)
     assert np.allclose(mom.M_vec, 0.0)
@@ -275,8 +269,7 @@ def test_coupled_spin_down(grid, params):
     r = grid.nodes
     w0 = np.exp(-2.0 * (r - 1.0) ** 2)
     d = ModeDecomposition(
-        grid, w0, np.zeros_like(r), np.zeros_like(r),
-        np.zeros((0, 2, grid.n_points)), RigidState(np.zeros(2), float(w0[0])),
+        grid, w0, np.zeros((1, 2, grid.n_points)), RigidState(np.zeros(2), float(w0[0]))
     )
     st = stokes.init_stokes(d, params)
     ts, oms = [], []
@@ -499,7 +492,7 @@ def test_init_keeps_given_decomposition(grid, params):
     # rebuilt from the z variables would differ, the stored one is kept
     rng = np.random.default_rng(11)
     d = random_decomposition(grid, rng, k_max=3)
-    d = ModeDecomposition(grid, d.w, d.psi, d.phi, d.higher,
+    d = ModeDecomposition(grid, d.w, d.profiles,
                           RigidState(np.array([0.3, -0.7]), 0.2, np.array([1.0, 2.0]), 0.5))
     st = stokes.init_stokes(d, params)
     assert st.decomp is d
