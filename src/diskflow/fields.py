@@ -267,6 +267,15 @@ def divergence_residual(field, k_max=None):
 DIV_TOL = 1e-6
 
 
+def _check_resolution(n_theta, k_max):
+    """Reject k_max < 1, and n_theta angles too few to hold harmonics
+    0..k_max (n_theta < 2 k_max + 2)."""
+    if k_max < 1:
+        raise InvalidArgument(f"k_max must be >= 1, got {k_max}")
+    if n_theta < 2 * k_max + 2:
+        raise InsufficientAngularResolution(f"n_theta = {n_theta} cannot hold k_max = {k_max}")
+
+
 def decompose(field, params, k_max):
     """Split physical samples into the spectral state.
 
@@ -276,21 +285,17 @@ def decompose(field, params, k_max):
     rigid data from the boundary traces.
     """
     grid = field.grid
-    if field.n_theta < 2 * k_max + 2:
-        raise InsufficientAngularResolution(
-            f"n_theta = {field.n_theta} cannot resolve k_max = {k_max}"
-        )
+    _check_resolution(field.n_theta, k_max)
     scale = max(np.abs(field.v_r).max(), np.abs(field.v_theta).max(), 1e-300)
     res = divergence_residual(field, k_max)
     if res > DIV_TOL * scale * (1.0 / grid.spacings.min()):
         raise NotDivergenceFree(
             f"divergence residual {res:.3e} exceeds tolerance for scale {scale:.3e}"
         )
-    K = max(k_max, 1)
     r = grid.nodes
-    k = np.arange(1, K + 1)[:, None]
-    ar, br = _coeffs(field.v_r, K)
-    at, _bt = _coeffs(field.v_theta, K)
+    k = np.arange(1, k_max + 1)[:, None]
+    ar, br = _coeffs(field.v_r, k_max)
+    at, _bt = _coeffs(field.v_theta, k_max)
     profiles = np.stack([r * br[1:] / k, -r * ar[1:] / k], axis=1)
     return ModeDecomposition(grid, at[0], profiles, _trace_rigid(profiles, at[0, 0]))
 
@@ -305,10 +310,7 @@ def reconstruct(decomp, n_theta=None):
     k_max = decomp.k_max
     if n_theta is None:
         n_theta = default_n_theta(k_max)
-    if n_theta < 2 * k_max + 2:
-        raise InsufficientAngularResolution(
-            f"n_theta = {n_theta} cannot hold k_max = {k_max}"
-        )
+    _check_resolution(n_theta, k_max)
     v_r, v_theta = synthesise(velocity_coeffs(decomp), n_theta).transpose(0, 2, 1)
     return PolarField(grid, v_r, v_theta)
 
@@ -348,30 +350,18 @@ def _leray_operator(grid, coupling, k, drop_first):
 
 
 def _build_leray_operator(grid, coupling, k, drop_first):
-    from scipy import sparse
-
-    D = grid.ddr_matrix()
     w = grid.quad_weights
     r = grid.nodes
-    N = (D.T @ sparse.diags(w) @ D).tocoo()
-    N = N + sparse.diags(k * k * w / (r * r))
-    N = N.tolil()
-    if coupling:
-        N[0, 0] += coupling
-    N = N.tocsr()
+    ab = grid.ddr_gram().copy()
+    ab[2] += k * k * w / (r * r)
+    ab[2, 0] += coupling
     if drop_first:
-        N = N[1:, 1:]
-    # to upper banded storage
-    N = N.tocoo()
-    bw = int(np.max(np.abs(N.row - N.col)))
-    nn = N.shape[0]
-    ab = np.zeros((bw + 1, nn))
-    upper = N.col >= N.row
-    np.add.at(ab, (bw - (N.col - N.row)[upper], N.col[upper]), N.data[upper])
-    scale = 1.0 / np.sqrt(ab[-1])
-    ab *= scale[None, :]
-    for d in range(bw + 1):
-        ab[d, bw - d:] *= scale[: nn - (bw - d)]
+        ab = ab[:, 1:]
+        ab[0, :2] = ab[1, 0] = 0.0  # entries of the dropped row
+    scale = 1.0 / np.sqrt(ab[2])
+    ab *= scale
+    for d in range(3):
+        ab[2 - d, d:] *= scale[:scale.size - d]
     try:
         fac = cholesky_banded(ab, lower=False)
     except np.linalg.LinAlgError as exc:
@@ -402,10 +392,7 @@ def project_leray(field, params, k_max=None, ball_ell=(0.0, 0.0), ball_omega=0.0
     grid = field.grid
     if k_max is None:
         k_max = max(1, field.n_theta // 2 - 1)
-    if field.n_theta < 2 * k_max + 2:
-        raise InsufficientAngularResolution(
-            f"n_theta = {field.n_theta} cannot resolve k_max = {k_max}"
-        )
+    _check_resolution(field.n_theta, k_max)
     ball_ell = np.asarray(ball_ell, dtype=float).reshape(2)
     n = grid.n_points
     w = grid.quad_weights
@@ -416,9 +403,9 @@ def project_leray(field, params, k_max=None, ball_ell=(0.0, 0.0), ball_omega=0.0
     k = np.arange(1, k_max + 1)[:, None]
     # right-hand sides (channel, mode, node): channels psi, phi of modes 1..K
     radial = np.stack([br[1:], ar[1:]])
-    tangential = np.stack([at[1:], bt[1:]]).reshape(2 * k_max, n)
+    tangential = np.stack([at[1:], bt[1:]])
     rhs = sgn * k * (w / r) * radial
-    rhs += (grid.ddr_matrix_t() @ (w * tangential).T).T.reshape(2, k_max, n)
+    rhs += grid.ddr_t(w * tangential)
     coupling = params.m / math.pi
     rhs[:, 0, 0] += coupling * np.array([ball_ell[1], -ball_ell[0]])  # traces psi(1), -phi(1)
     prof = np.zeros((k_max, 2, n))
@@ -528,10 +515,8 @@ def fluid_lp_norm(decomp, p, n_theta=None):
         while n_theta < p_eff * (decomp.k_max + 1) + 4:
             n_theta *= 2
         n_theta = min(n_theta, 512)
-    elif n_theta < 2 * decomp.k_max + 2:
-        raise InsufficientAngularResolution(
-            f"n_theta = {n_theta} cannot hold k_max = {decomp.k_max}"
-        )
+    else:
+        _check_resolution(n_theta, decomp.k_max)
     w = grid.quad_weights
     acc = np.zeros(n_theta)
     peak = 0.0

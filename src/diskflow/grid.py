@@ -137,35 +137,45 @@ class RadialGrid:
             value = self.cache[key] = build(*args)
         return value
 
-    def ddr_matrix(self):
-        """The first-derivative stencil as a sparse matrix (rows = nodes);
-        built once and cached (the grid is immutable)."""
-        return self.memo(("ddr_matrix",), self._build_ddr_matrix)
-
-    def ddr_matrix_t(self):
-        """The transposed stencil (CSC), cached like ddr_matrix."""
-        return self.memo(("ddr_matrix_t",), lambda: self.ddr_matrix().T)
-
-    def _build_ddr_matrix(self):
-        from scipy import sparse
-
+    def ddr_t(self, f):
+        """Transpose of the ddr stencil along the last axis: entry j sums
+        D[m, j] f[m] over the stencil rows m in ascending order (row 0, the
+        hi, mid and lo bands, row n-1)."""
+        f = np.asarray(f, dtype=float)
         lo, mid, hi, first, last = self._ddr_bands
-        n = self.n_points
-        M = sparse.lil_matrix((n, n))
-        idx = np.arange(1, n - 1)
-        M[idx, idx - 1] = lo
-        M[idx, idx] = mid
-        M[idx, idx + 1] = hi
-        M[0, :3] = first
-        M[n - 1, n - 3:] = last
-        return M.tocsr()
+        inner = f[..., 1:-1]
+        out = np.zeros_like(f)
+        out[..., :3] += first * f[..., :1]
+        out[..., 2:] += hi * inner
+        out[..., 1:-1] += mid * inner
+        out[..., :-2] += lo * inner
+        out[..., -3:] += last * f[..., -1:]
+        return out
 
-    def boundary_derivative(self, f, order=2, npts=None):
-        """One-sided derivative of f at r = 1 of the requested accuracy order."""
-        if npts is None:
-            npts = order + 1
-        w = fd_weights(self.nodes[:npts], self.nodes[0], 1)
-        return float(w @ np.asarray(f)[:npts])
+    def ddr_gram(self):
+        """D^T diag(w) D for the ddr stencil D and the quadrature weights w,
+        in upper banded storage (ab[2 - d, j] = entry (j - d, j)); read-only
+        and built once per grid."""
+        return self.memo(("ddr_gram",), self._build_ddr_gram)
+
+    def _build_ddr_gram(self):
+        # each entry sums its stencil rows m in ascending order, each term
+        # (D[m, i] w[m]) D[m, j] with i <= j: row 0, the interior rows (for
+        # those, ascending m means a falling column offset b), row n-1
+        lo, mid, hi, first, last = self._ddr_bands
+        w, n = self.quad_weights, self.n_points
+        ab = np.zeros((3, n))
+        for c, wm, j0, count in ((first, w[0], 0, 1), ((lo, mid, hi), w[1:-1], 0, n - 2),
+                                 (last, w[-1], n - 3, 1)):
+            for b in (2, 1, 0):
+                for a in range(b + 1):
+                    ab[2 - b + a, j0 + b:j0 + b + count] += (c[a] * wm) * c[b]
+        ab.flags.writeable = False
+        return ab
+
+    def boundary_derivative(self, f):
+        """Second-order one-sided derivative of f at r = 1 (ddr's first row)."""
+        return float(self._ddr_bands[3] @ np.asarray(f)[:3])
 
     def cumtrap_weighted(self, weight, values):
         """Cumulative trapezoid of weight(s)*values from r=1 to each node,

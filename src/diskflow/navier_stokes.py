@@ -26,12 +26,12 @@ from .dynbc import Recorder, march
 from .errors import (
     BlowUp,
     GridMismatch,
-    InsufficientAngularResolution,
     InvalidArgument,
     NoContraction,
 )
 from .fields import (
     PolarField,
+    _check_resolution,
     _sample_blocks,
     decomp_axpy,
     fluid_lp_norm,
@@ -75,6 +75,8 @@ class NonlinearConfig:
     def __post_init__(self):
         if self.k_max < 1:
             raise InvalidArgument(f"k_max must be >= 1, got {self.k_max}")
+        if self.kato_max_iters < 1:
+            raise InvalidArgument(f"kato_max_iters must be >= 1, got {self.kato_max_iters}")
         # Orszag's 2/3 rule: the product's top mode 2*k_max must alias
         # beyond k_max, i.e. n_theta - 2*k_max > k_max
         if self.dealias and self.n_theta < 3 * self.k_max + 1:
@@ -110,10 +112,7 @@ def nonlinear_term(decomp, params, config):
     grid = decomp.grid
     n = grid.n_points
     K = decomp.k_max
-    if config.n_theta < 2 * K + 2:
-        raise InsufficientAngularResolution(
-            f"n_theta = {config.n_theta} cannot hold k_max = {K}"
-        )
+    _check_resolution(config.n_theta, K)
     m = K + 1  # offset of the sin coefficients in the real_dft layout
     k = np.arange(m)[:, None]
     ell = decomp.rigid.ell

@@ -14,6 +14,7 @@ from scipy import sparse
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from diskflow.fields import ModeDecomposition, PolarField, RigidState
+from diskflow.grid import fd_weights
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +63,24 @@ def fft_reconstruct(decomp, n_theta):
     return PolarField(grid, _fft_synthesis(ar, br, n_theta), _fft_synthesis(at, bt, n_theta))
 
 
+def stencil_matrix(grid):
+    """The three-point first-derivative stencil (one-sided at both ends) as
+    a sparse matrix, each row solved for afresh by fd_weights."""
+    r = grid.nodes
+    n = grid.n_points
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        j = min(max(i - 1, 0), n - 3)
+        rows += [i] * 3
+        cols += [j, j + 1, j + 2]
+        vals.extend(fd_weights(r[j:j + 3], r[i], 1))
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
 def _leray_system(grid, coupling, k, drop_first):
     """Banded normal matrix of one mode, its Jacobi-scaled Cholesky factor
     and the scaling (rebuilt on every call)."""
-    D = grid.ddr_matrix()
+    D = stencil_matrix(grid)
     w = grid.quad_weights
     r = grid.nodes
     N = (D.T @ sparse.diags(w) @ D + sparse.diags(k * k * w / (r * r))).tolil()
@@ -95,7 +110,7 @@ def per_mode_project(field, params, k_max, ball_ell=(0.0, 0.0)):
     grid = field.grid
     w = grid.quad_weights
     r = grid.nodes
-    D = grid.ddr_matrix()
+    D = stencil_matrix(grid)
     ar, br = fft_coeffs(field.v_r)
     at, bt = fft_coeffs(field.v_theta)
 

@@ -424,6 +424,8 @@ def _cfg_text(sections):
     # no harmonic at all: an IndexError, or a bump written into the top mode
     ("ns-small-q32", "evolve-ns", "spectral", "k_max", "0", "k_max must be >= 1, got 0"),
     ("ns-small-q32", "evolve-ns", "spectral", "k_max", "-1", "k_max must be >= 1, got -1"),
+    # no iteration at all: iterations = 0 and a failed contraction check
+    ("kato-small", "kato", "spectral", "kato_max_iters", "0", "kato_max_iters must be >= 1, got 0"),
     ("higher-modes-only", "evolve-stokes", "initial_data", "k", "0",
      "higher-bump data needs a harmonic k >= 1, got 0"),
 ])

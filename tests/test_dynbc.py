@@ -12,6 +12,7 @@ from diskflow import dynbc
 from diskflow.dynbc import DynBCParams, ScalarModeState
 from diskflow.errors import InvalidArgument, NonpositiveTime, SolverFailure, UnsupportedVariant
 from diskflow.grid import build_grid
+from diskflow.presets import build_setup, get_preset
 from oracles import naive_march
 
 
@@ -147,6 +148,19 @@ def test_unit_kick_self_similar_small_grid():
     M = dynbc.mass(s, params)
     ratio = 4.0 * math.pi * params.nu * final.t * final.ell / M
     assert abs(ratio - 1.0) <= 0.1
+
+
+@pytest.mark.parametrize("preset", ["unit-kick-k0", "w-bump-k1"])
+def test_evolve_observed_order(preset):
+    # Crank-Nicolson after the startup steps: successive differences at dt,
+    # dt/2 and dt/4 shrink fourfold (theta = 0.52 reads about 1.1-1.2)
+    setup = build_setup(get_preset(preset), {"grid": {"n_points": 256, "r_max": 20.0}})
+    params, s0 = setup["scalar_params"], setup["scalar_state"]
+    runs = [dynbc.evolve(s0, params, 1.0, 1.0 / n) for n in (16, 32, 64, 128)]
+    diffs = [dynbc.lp_norm(ScalarModeState(a.grid, a.y - b.y, a.ell - b.ell), params, 2.0)
+             for a, b in zip(runs, runs[1:])]
+    orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
+    assert min(orders) >= 1.8, orders
 
 
 def test_dirichlet_variant_against_dense_ode_oracle():

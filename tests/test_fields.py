@@ -165,6 +165,27 @@ def test_decompose_errors(grid, params):
         F.decompose(good, params, 20)
 
 
+@pytest.mark.parametrize("k_max", [0, -2])
+def test_k_max_below_one_is_rejected(grid, params, k_max):
+    # no harmonic to hold: an IndexError, or a silent k_max = 1 answer
+    good = F.reconstruct(F.zero_decomposition(grid, 2), 16)
+    with pytest.raises(InvalidArgument):
+        F.project_leray(good, params, k_max)
+    with pytest.raises(InvalidArgument):
+        F.decompose(good, params, k_max)
+
+
+def test_too_few_angles_are_rejected(grid, params):
+    d = F.zero_decomposition(grid, 4)
+    good = F.reconstruct(d, 16)
+    with pytest.raises(InsufficientAngularResolution):
+        F.reconstruct(d, 9)
+    with pytest.raises(InsufficientAngularResolution):
+        F.project_leray(good, params, 8)
+    with pytest.raises(InsufficientAngularResolution):
+        F.fluid_lp_norm(d, 4.0, n_theta=9)
+
+
 def test_leray_identity_on_admissible(grid, params):
     rng = np.random.default_rng(5)
     d = random_decomposition(grid, rng, k_max=4)

@@ -73,6 +73,37 @@ def test_graded_quadrature_against_reference():
     assert errs[1] / errs[2] > 3.5
 
 
+@pytest.mark.parametrize("stretch", [0.0, 1.5])
+def test_ddr_t_is_the_transpose_of_ddr(stretch):
+    g = build_grid(40, 10.0, stretch)
+    D = g.ddr(np.eye(g.n_points))  # column j is ddr of the j-th unit vector
+    rng = np.random.default_rng(7)
+    f = rng.standard_normal((3, g.n_points))
+    assert np.allclose(g.ddr_t(f), f @ D, rtol=0, atol=1e-12 * np.abs(D).max())
+    assert np.array_equal(g.ddr_t(f)[1], g.ddr_t(f[1]))
+
+
+@pytest.mark.parametrize("stretch", [0.0, 1.5])
+def test_ddr_gram_is_the_weighted_normal_matrix(stretch):
+    g = build_grid(40, 10.0, stretch)
+    D = g.ddr(np.eye(g.n_points))
+    gram = D.T @ (g.quad_weights[:, None] * D)
+    ab = g.ddr_gram()
+    assert ab.shape == (3, g.n_points) and not ab.flags.writeable
+    assert ab is g.ddr_gram()
+    tol = 1e-12 * np.abs(gram).max()
+    for d in range(3):
+        assert np.allclose(ab[2 - d, d:], np.diagonal(gram, d), rtol=0, atol=tol)
+    assert np.all(ab[0, :2] == 0.0) and ab[1, 0] == 0.0
+    assert np.allclose(np.triu(gram, 3), 0.0, rtol=0, atol=tol)
+
+
+def test_boundary_derivative_is_exact_on_quadratics():
+    g = build_grid(64, 10.0, 1.5)
+    r = g.nodes
+    assert abs(g.boundary_derivative(3.0 * r * r - 2.0 * r + 5.0) - 4.0) < 1e-9
+
+
 def test_build_grid_argument_errors():
     with pytest.raises(InvalidArgument):
         build_grid(8, 100.0)

@@ -103,6 +103,9 @@ def test_config_validation():
         ns.NonlinearConfig(k_max=8, n_theta=16, dealias=False)
     with pytest.raises(InvalidArgument):
         ns.NonlinearConfig(k_max=4, n_theta=12)  # mode 8 aliases onto mode 4
+    for iters in (0, -3):
+        with pytest.raises(InvalidArgument):
+            ns.NonlinearConfig(kato_max_iters=iters)
     cfg = ns.NonlinearConfig(k_max=4, n_theta=13)
     assert cfg.n_theta == 13
 
@@ -230,6 +233,29 @@ def test_cfl_guard(grid, params):
     st = stokes.init_stokes(d, params)
     with pytest.raises(InvalidArgument):
         ns.evolve_ns(st, cfg, 1.0, 0.5)
+    # the bound is 0.5 h_min / |V|max: one step just above raises, just below runs
+    st = stokes.init_stokes(mode1_bump(grid, 1.0), params)
+    vmax = fields.fluid_lp_norm(st.decomp, np.inf, cfg.n_theta)
+    limit = 0.5 * float(grid.spacings.min()) / vmax
+    with pytest.raises(InvalidArgument):
+        ns.evolve_ns(st, cfg, 1.01 * limit, 1.01 * limit)
+    final, _ = ns.evolve_ns(st, cfg, 0.99 * limit, 0.99 * limit)
+    assert final.t == 0.99 * limit
+
+
+def test_step_ns_observed_order():
+    # AB2 with an implicit linear block is second order; a first-order
+    # extrapolation (weights (1, 0)) reads about 1.56 and 1.30 here
+    setup = build_setup(get_preset("kato-small"), {
+        "grid": {"n_points": 128, "r_max": 20.0}, "data": {"amplitude": 0.02}})
+    params = setup["params"]
+    cfg = ns.NonlinearConfig(k_max=2, n_theta=16)
+    runs = [ns.evolve_ns(setup["state"], cfg, 1.0, 1.0 / n)[0] for n in (32, 64, 128, 256)]
+
+    diffs = [decomp_axpy(1.0, a.decomp, -1.0, b.decomp) for a, b in zip(runs, runs[1:])]
+    norms = [math.sqrt(fields.inner_l2(d, d, params)) for d in diffs]
+    orders = [math.log2(a / b) for a, b in zip(norms, norms[1:])]
+    assert min(orders) >= 1.8, orders
 
 
 def test_blowup_guard(grid, params):
