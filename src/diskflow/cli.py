@@ -224,6 +224,15 @@ def run_mode_heat(cfg, setup, out_dir, do_checks):
     return all(ok for _, ok, _ in checks)
 
 
+# The translation law 8 pi nu t ell -> M holds for data of finite fluid
+# momentum, whose mode-1 stream profiles decay faster than 1/r.  It is checked
+# only when r_max * max(|psi_1|, |phi_1|)(r_max) / |ell| of the data lies below
+# this: a 1/r tail reads O(1) at any r_max (the harmonic wake of a pure
+# translation reads 1), a faster one tends to 0 as r_max grows.  The compact
+# presets read below 2e-5, ns-small-q32's r^-0.34 tail reads 43.
+_FINITE_MOMENTUM_TAIL = 0.1
+
+
 def run_stokes(cfg, setup, out_dir, do_checks, compare_asymptotic=False):
     if compare_asymptotic and float(setup["time"]["t_end"]) < 10.0:
         raise ConfigError(
@@ -246,15 +255,17 @@ def run_stokes(cfg, setup, out_dir, do_checks, compare_asymptotic=False):
              f"momentum = {mom.M_vec[0]:.17e} {mom.M_vec[1]:.17e}",
              f"mass_phi = {mom.M_phi:.17e}", f"mass_psi = {mom.M_psi:.17e}"]
     checks = []
+    d0 = state.decomp
+    tail = d0.grid.nodes[-1] * max(abs(d0.psi[-1]), abs(d0.phi[-1]))
     if M_vec is not None:
-        # the momentum component of larger magnitude (x on a tie) is nonzero
-        i, axis = (1, "y") if abs(mom.M_vec[1]) > abs(mom.M_vec[0]) else (0, "x")
-        ratio = 8.0 * math.pi * params.nu * final.t * final.rigid.ell[i] / mom.M_vec[i]
-        lines.append(f"translation_ratio 8*pi*nu*t*ell_{axis}/M{axis} = {ratio:.10f}")
-        if do_checks:
-            checks.append(
-                ("disk-translation", abs(ratio - 1.0) <= 0.15, f"|ratio-1| = {abs(ratio - 1):.3e}")
-            )
+        if tail <= _FINITE_MOMENTUM_TAIL * float(np.hypot(*d0.rigid.ell)):
+            # the momentum component of larger magnitude (x on a tie) is nonzero
+            i, axis = (1, "y") if abs(mom.M_vec[1]) > abs(mom.M_vec[0]) else (0, "x")
+            ratio = 8.0 * math.pi * params.nu * final.t * final.rigid.ell[i] / mom.M_vec[i]
+            lines.append(f"translation_ratio 8*pi*nu*t*ell_{axis}/M{axis} = {ratio:.10f}")
+            if do_checks:
+                checks.append(("disk-translation", abs(ratio - 1.0) <= 0.15,
+                               f"|ratio-1| = {abs(ratio - 1):.3e}"))
         if compare_asymptotic:
             t_arr = np.asarray(rec.column("t"))
             e_arr = np.sqrt(t_arr) * np.asarray(rec.column("profile_err_L2"))

@@ -23,10 +23,10 @@ linear-solver roundoff.  Time stepping is the theta-method (Crank-Nicolson by
 default) with a configurable number of damped implicit-Euler startup steps to
 smooth rough initial data before the trapezoidal steps take over.
 
-Several channels advance together as one packed system (PackedStepper): the
-distinct operators are blocks of one banded matrix, the channels sharing an
-operator are its right-hand-side columns, and every (sub)step is one banded
-Cholesky solve.  A single channel (step) is the one-block case.
+Several scalar systems advance together as one packed system
+(PackedStepper): each row of a stack of profiles is its own block of one
+banded matrix, and every (sub)step is one banded Cholesky solve.  A single
+system (step) is the one-row case.
 """
 
 from __future__ import annotations
@@ -117,60 +117,54 @@ class ScalarModeState:
         y.flags.writeable = False
         object.__setattr__(self, "y", y)
 
-
-def _solved_state(grid, y, t):
-    """ScalarModeState over a read-only row y of a checked solve, as is.
-
-    The caller has already checked every entry finite, so this skips the
-    public constructor's copy and scan; ell is the trace y[0]."""
-    state = object.__new__(ScalarModeState)
-    state.__dict__.update(grid=grid, y=y, ell=float(y[0]), t=t)
-    return state
+    @classmethod
+    def _view(cls, grid, y, ell, t):
+        """A state over the read-only row y of a checked stack, as is: the
+        public constructor's copy and finiteness scan are skipped."""
+        state = object.__new__(cls)
+        state.__dict__.update(grid=grid, y=y, ell=float(ell), t=t)
+        return state
 
 
 class PackedStepper:
-    """Theta-method system of several scalar channel operators, solved as one.
+    """Theta-method system of several scalar rows, solved as one.
 
-    Block b holds the unknowns of operator ops[b]: [ell, y_1 .. y_{n-2}] for
-    the dynamic variant (y_0 == ell) and [y_1 .. y_{n-2}] for the Dirichlet
-    one (y_{n-1} == 0 in both).  The blocks sit along the diagonal of one SPD
-    tridiagonal matrix whose coupling entry at each block edge is zero, so
-    they stay exactly decoupled.  Channels sharing an operator are the
-    columns of the right-hand side: a system advances by one banded Cholesky
-    solve per (sub)step, factored once per (theta, dt).  All operators share
-    one viscosity.
+    Row i of a (rows, n) stack advances under operator ops[i] with the n-1
+    unknowns [ell or a pinned 0, y_1 .. y_{n-2}] (y_{n-1} == 0): a dynamic
+    row's first unknown is ell (y_0 == ell), a Dirichlet row's is pinned to
+    zero by an identity row.  The rows sit along the diagonal of one SPD
+    tridiagonal matrix whose coupling entries at each row edge and next to a
+    pinned entry are zero, so they stay exactly decoupled: a (sub)step is one
+    banded Cholesky solve of one column, factored once per (theta, dt).  All
+    operators share one viscosity.
     """
 
     def __init__(self, grid, ops):
         if len({p.nu for p in ops}) != 1:
             raise InvalidArgument("packed operators must share one viscosity")
         self.nu = ops[0].nu
-        w = grid.quad_weights
+        self.w = w = grid.quad_weights
         r = grid.nodes
         stiff = grid.face_r / grid.spacings  # exact P1 element integrals r_{i+1/2}/h_i
-        # (start, end, first node, alpha) of each block in the packed vector
-        self.blocks = []
-        mvec, diag, off = [], [], []
-        start = 0
-        for p in ops:
+        self.dynamic = np.array([p.variant == "dynamic" for p in ops])
+        self.alpha = np.array([p.alpha_tilde for p in ops])
+        mvec = np.ones((len(ops), grid.n_points - 1))  # a pinned entry keeps 1
+        diag = np.zeros_like(mvec)
+        off = np.zeros_like(mvec)  # the last entry of a row couples to nothing
+        for p, m, d, o in zip(ops, mvec, diag, off):
             kk = p.k * p.k
             # nodes 1 .. n-2; the Dirichlet variant stops there
-            d = stiff[:-1] + stiff[1:] + kk * w[1:-1] / r[1:-1] ** 2
-            m = w[1:-1]
-            lo = 1
+            d[1:] = stiff[:-1] + stiff[1:] + kk * w[1:-1] / r[1:-1] ** 2
+            m[1:] = w[1:-1]
+            o[1:-1] = -stiff[1:-1]
             if p.variant == "dynamic":
                 # node 0 carries ell: ball mass 1/alpha and boundary flux k*y
-                d = np.concatenate(([stiff[0] + kk * w[0] / r[0] ** 2 + p.k], d))
-                m = np.concatenate(([w[0] + 1.0 / p.alpha_tilde], m))
-                lo = 0
-            self.blocks.append((start, start + m.size, lo, p.alpha_tilde))
-            start += m.size
-            mvec.append(m)
-            diag.append(d)
-            off += [-stiff[lo:-1], [0.0]]  # no coupling into the next block
-        self.mvec = np.concatenate(mvec)
-        self.k_diag = np.concatenate(diag)
-        self.k_off = np.concatenate(off)[:-1]
+                d[0] = stiff[0] + kk * w[0] / r[0] ** 2 + p.k
+                m[0] = w[0] + 1.0 / p.alpha_tilde
+                o[0] = -stiff[0]
+        self.mvec = mvec.ravel()
+        self.k_diag = diag.ravel()
+        self.k_off = off.ravel()[:-1]
         self._systems = {}
 
     def _system(self, theta, dt):
@@ -192,8 +186,8 @@ class PackedStepper:
 
     def _apply_k(self, u):
         out = self.k_diag * u
-        out[..., :-1] += self.k_off * u[..., 1:]
-        out[..., 1:] += self.k_off * u[..., :-1]
+        out[:-1] += self.k_off * u[1:]
+        out[1:] += self.k_off * u[:-1]
         return out
 
     def _advance(self, u, theta, dt, source=None, trace_fix=None):
@@ -207,64 +201,53 @@ class PackedStepper:
             rhs += dt * source
         # the factor is finite by construction and step() rejects a
         # non-finite result, so scipy's input scan is skipped
-        return cho_solve_banded((fac, False), rhs.T, check_finite=False).T
+        return cho_solve_banded((fac, False), rhs, check_finite=False)
 
-    def step(self, channels, dt, theta, startup_steps, sources=None, first_step=False):
-        """Advance every channel by one step of length dt.
+    def step(self, z, ell, dt, theta, startup_steps, sources=None, first_step=False):
+        """Advance every row of the (rows, n) stack z, whose boundary values
+        are ell, by one step of length dt.
 
-        channels[b] holds the ScalarModeStates of block b, one per column;
-        sources, if given, has the same layout with (fluid values, boundary
-        source) pairs or None.  first_step=True runs startup_steps
-        implicit-Euler substeps instead of one theta step.  Returns the new
-        states in the same layout.
+        sources, if given, is a (fluid stack, boundary values) pair: its rows
+        beyond z's are ignored and z's rows beyond it stay unforced.
+        first_step=True runs startup_steps implicit-Euler substeps instead of
+        one theta step.  Returns the new read-only stack; its first column
+        holds the new boundary values.
         """
         if dt <= 0:
             raise InvalidArgument("dt must be > 0")
-        grid = channels[0][0].grid
-        w = grid.quad_weights
-        u = np.zeros((max(map(len, channels)), self.mvec.size))
-        fix = np.zeros_like(u) if first_step else None
-        for (s, e, lo, _), states in zip(self.blocks, channels):
-            for c, st in enumerate(states):
-                u[c, s:e] = st.y[lo:-1]
-                if lo == 0:
-                    u[c, s] = st.ell
-                    # An initial trace mismatch y[0] != ell is allowed; the
-                    # packed unknown carries ell, so the first right-hand side
-                    # restores the true mass w_0*y[0] + ell/alpha before the
-                    # implicit step smooths the jump.
-                    if first_step:
-                        fix[c, s] = w[0] * (st.y[0] - st.ell)
+        w = self.w
+        u = np.array(z[:, :-1], dtype=float)
+        u[:, 0] = np.where(self.dynamic, ell, 0.0)
+        fix = None
+        if first_step:
+            # An initial trace mismatch y[0] != ell is allowed; the packed
+            # unknown carries ell, so the first right-hand side restores the
+            # true mass w_0*y[0] + ell/alpha before the implicit step smooths
+            # the jump.
+            fix = np.zeros_like(u)
+            fix[:, 0] = np.where(self.dynamic, w[0] * (z[:, 0] - ell), 0.0)
+            fix = fix.ravel()
         forcing = None
         if sources is not None:
+            fluid, ell_src = sources
+            rows = min(len(fluid), len(u))
             forcing = np.zeros_like(u)
-            for (s, e, lo, alpha), block in zip(self.blocks, sources):
-                for c, src in enumerate(block):
-                    if src is not None:
-                        fluid = np.asarray(src[0], dtype=float)
-                        forcing[c, s:e] = w[lo:-1] * fluid[lo:-1]
-                        if lo == 0:
-                            forcing[c, s] += float(src[1]) / alpha
+            forcing[:rows] = w[:-1] * fluid[:rows, :-1]
+            edge = forcing[:rows, 0] + ell_src[:rows] / self.alpha[:rows]
+            forcing[:rows, 0] = np.where(self.dynamic[:rows], edge, 0.0)
+            forcing = forcing.ravel()
         shape = u.shape
-        if shape[0] == 1:  # a single column advances as a vector: cheaper array calls
-            u = u[0]
-            forcing = None if forcing is None else forcing[0]
-            fix = None if fix is None else fix[0]
+        u = u.ravel()
         if first_step and startup_steps > 0 and theta != 1.0:
             for i in range(startup_steps):
                 u = self._advance(u, 1.0, dt / startup_steps, forcing, fix if i == 0 else None)
         else:
             u = self._advance(u, theta, dt, forcing, fix)
-        u = u.reshape(shape)
         if not np.all(np.isfinite(u)):
             raise SolverFailure("non-finite values after implicit step")
-        out = []
-        for (s, e, lo, _), states in zip(self.blocks, channels):
-            # one fresh read-only array per block; its rows are the channels
-            y = np.zeros((len(states), grid.n_points))
-            y[:, lo:-1] = u[:len(states), s:e]
-            y.flags.writeable = False
-            out.append([_solved_state(grid, row, st.t + dt) for row, st in zip(y, states)])
+        out = np.zeros((shape[0], shape[1] + 1))
+        out[:, :-1] = u.reshape(shape)
+        out.flags.writeable = False
         return out
 
 
@@ -284,10 +267,12 @@ def step(state, params, dt, source=None, first_step=False):
     instead of a single trapezoidal step (Rannacher smoothing of rough
     initial data).
     """
-    st = packed_stepper(state.grid, (params,))
-    ((new,),) = st.step(((state,),), dt, params.theta, params.startup_steps,
-                        None if source is None else ((source,),), first_step)
-    return new
+    if source is not None:
+        source = (np.asarray(source[0], dtype=float)[None], np.array([float(source[1])]))
+    z = packed_stepper(state.grid, (params,)).step(
+        state.y[None], np.array([state.ell]), dt, params.theta, params.startup_steps,
+        source, first_step)
+    return ScalarModeState._view(state.grid, z[0], z[0, 0], state.t + dt)
 
 
 def march(state0, step_fn, t_end, dt, observer=None, observe_times=None):

@@ -605,7 +605,10 @@ def load_field_file(path, grid=None):
     Raises InvalidArgument on a malformed file: a first line that is not
     `# ell_x ell_y omega`, a header without the r, W, Psi, Phi columns or
     with an unpaired psi_k/phi_k, a row whose width differs from the
-    header's, no rows, or a value that is not a finite number."""
+    header's, no rows, a value that is not a finite number, or a translation
+    (ell_x, ell_y) that differs from the mode-1 traces (-Phi(1), Psi(1)) by
+    more than roundoff.  omega is not checked against W(1): a projected
+    field carries the ball's rotation, not the fluid trace."""
     with open(path) as fh:
         first = fh.readline()
         header = [c.strip() for c in fh.readline().split(",")]
@@ -631,5 +634,9 @@ def load_field_file(path, grid=None):
         grid = RadialGrid(nodes, nodes[-1], 0.0)
     elif grid.n_points != nodes.size or not np.allclose(grid.nodes, nodes, rtol=0, atol=1e-12):
         raise GridMismatch("field file nodes do not match the supplied grid")
+    trace = (-float(cols["Phi"][0]), float(cols["Psi"][0]))
+    if abs(ex - trace[0]) + abs(ey - trace[1]) > 1e-12 * max(map(abs, (ex, ey, *trace))):
+        raise InvalidArgument(f"field file line 1: ell = ({ex!r}, {ey!r}) disagrees with "
+                              f"the mode-1 traces (-Phi(1), Psi(1)) = {trace!r}")
     profiles = np.array([cols[name] for name in required[2:]]).reshape(k_max, 2, -1)
     return ModeDecomposition(grid, cols["W"], profiles, RigidState(np.array([ex, ey]), om))

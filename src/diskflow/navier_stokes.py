@@ -42,7 +42,7 @@ from .fields import (
 )
 from .stokes import (
     StokesState,
-    _channels_axpy,
+    _axpy,
     decomp_to_sources,
     init_stokes,
     state_axpy,
@@ -278,10 +278,10 @@ def kato_solve(state0, config, t_end, dt):
         acc = zero
         new = [base[0]]
         for cur, nxt in zip(current, base[1:]):
-            src = nonlinear_term(cur.decomp, params, config)
-            # step_stokes reads channels only: the forced state skips decomp_axpy
-            forced = _channels_axpy(1.0, acc, dt, init_stokes(src, params))
-            acc = step_stokes(StokesState(forced, acc.t, params), dt)
+            src = init_stokes(nonlinear_term(cur.decomp, params, config), params)
+            # step_stokes reads the stack only: the forced state skips decomp_axpy
+            acc = step_stokes(StokesState(acc.grid, _axpy(1.0, acc.z, dt, src.z),
+                                          _axpy(1.0, acc.ell, dt, src.ell), acc.t, params), dt)
             new.append(state_axpy(1.0, nxt, 1.0, acc))
         diffs = [state_axpy(1.0, a, -1.0, b) for a, b in zip(new, current)]
         dnorm = _triple_norm_series(diffs, params)

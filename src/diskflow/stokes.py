@@ -36,7 +36,7 @@ from .fields import (
     fluid_lp_norm,
     weighted_field_norm,
 )
-from .grid import PhysicalParams
+from .grid import PhysicalParams, RadialGrid
 
 __all__ = [
     "StokesState",
@@ -59,44 +59,45 @@ __all__ = [
 class StokesState:
     """Evolution state: the primary z unknowns plus the spectral field.
 
-    channels is PackedStepper's block layout, one block of ScalarModeStates
-    per channel operator: ((w,), (z_psi, z_phi), (z_psi_2, z_phi_2), ...),
-    the z pairs of each higher mode k >= 2 following mode 1.  The
-    decomposition is derived from the z variables on first read and kept,
-    so transform/inversion consistency holds whenever it is read; a march
-    that reads only the channels never inverts.  The L2 field norm is kept
-    the same way."""
+    z stacks the radial profile of every scalar subsystem, one row each: w,
+    z_psi_1, z_phi_1, z_psi_2, z_phi_2, ..., and ell holds their boundary
+    values (0 on the Dirichlet rows of the modes k >= 2); both are taken as
+    given and made read-only.  w_state, z_psi, z_phi and z_higher are
+    ScalarModeState views of the rows.  The decomposition is derived from
+    the z variables on first read and kept, so transform/inversion
+    consistency holds whenever it is read; a march that reads only the stack
+    never inverts.  The L2 field norm is kept the same way."""
 
-    channels: tuple
+    grid: RadialGrid
+    z: np.ndarray
+    ell: np.ndarray
     t: float
     params: PhysicalParams
     _decomp: ModeDecomposition | None = field(default=None, compare=False, repr=False)
     _l2_norm: float | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def grid(self):
-        return self.w_state.grid
+    def __post_init__(self):
+        if len(self.ell) % 2 == 0 or self.z.shape != (len(self.ell), self.grid.n_points):
+            raise InvalidArgument("z must be a (2*k_max + 1, n_points) stack, one ell per row")
+        self.z.flags.writeable = self.ell.flags.writeable = False
 
-    @property
-    def w_state(self):
-        return self.channels[0][0]
+    k_max = property(lambda self: len(self.ell) // 2)
+    w_state = property(lambda self: self._row(0))
+    z_psi = property(lambda self: self._row(1))
+    z_phi = property(lambda self: self._row(2))
 
-    @property
-    def z_psi(self):
-        return self.channels[1][0]
-
-    @property
-    def z_phi(self):
-        return self.channels[1][1]
+    def _row(self, i):
+        return ScalarModeState._view(self.grid, self.z[i], self.ell[i], self.t)
 
     @property
     def z_higher(self):
-        return self.channels[2:]
+        """(z_psi_k, z_phi_k) pairs of the modes k >= 2."""
+        return tuple((self._row(i), self._row(i + 1)) for i in range(3, len(self.ell), 2))
 
     @property
     def decomp(self):
         if self._decomp is None:
-            object.__setattr__(self, "_decomp", _rebuild_decomp(self.grid, self.channels))
+            object.__setattr__(self, "_decomp", _rebuild_decomp(self.grid, self.z, self.ell))
         return self._decomp
 
     @property
@@ -122,14 +123,14 @@ class AsymptoticMomenta:
     M_psi: float
 
 
-def subsystem_params(params, kind, k=0, theta=0.5, startup_steps=2):
+def subsystem_params(params, kind, k=0):
     """DynBCParams for one scalar subsystem of the coupled evolution."""
     if kind == "w":
-        return DynBCParams(1, params.alpha_w, params.nu, "dynamic", theta, startup_steps)
+        return DynBCParams(1, params.alpha_w, params.nu, "dynamic")
     if kind == "z1":
-        return DynBCParams(0, params.alpha0, params.nu, "dynamic", theta, startup_steps)
+        return DynBCParams(0, params.alpha0, params.nu, "dynamic")
     if kind == "higher":
-        return DynBCParams(k - 1, 1.0, params.nu, "dirichlet", theta, startup_steps)
+        return DynBCParams(k - 1, 1.0, params.nu, "dirichlet")
     raise InvalidArgument(f"unknown subsystem kind {kind!r}")
 
 
@@ -143,11 +144,10 @@ def init_stokes(decomp, params, t=0.0):
     decomposition: a rebuild from the z variables differs when the data's
     traces do not match its rigid part.
     """
-    channels = tuple(
-        tuple(ScalarModeState(decomp.grid, y, ell, t) for y, ell in block)
-        for block in decomp_to_sources(decomp)
-    )
-    return StokesState(channels, t, params, _decomp=decomp)
+    z, ell = decomp_to_sources(decomp)
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(ell))):
+        raise InvalidArgument("state entries must be finite")
+    return StokesState(decomp.grid, z, ell, t, params, _decomp=decomp)
 
 
 def _orders(k_max):
@@ -156,50 +156,46 @@ def _orders(k_max):
     return tuple(j // 2 for j in range(2, 2 * k_max + 2))
 
 
-def _rebuild_decomp(grid, channels):
-    """The decomposition of a channel tuple: one inversion of every z row,
+def _rebuild_decomp(grid, z, ell):
+    """The decomposition of a (z, ell) stack: one inversion of every z row,
     the phi rows taking the opposite orientation (z = -(phi' + k phi/r))."""
-    (w_state,), *pairs = channels
-    z_psi, z_phi = pairs[0]
-    ell = np.zeros(2 * len(pairs))
-    ell[:2] = z_psi.ell / 2.0, z_phi.ell / 2.0
-    z = np.stack([zk.y for pair in pairs for zk in pair])
-    psi = invert_z(grid, z, _orders(len(pairs)), ell)
+    k_max = len(ell) // 2
+    psi1 = np.zeros(2 * k_max)
+    psi1[:2] = ell[1:3] / 2.0
+    psi = invert_z(grid, z[1:], _orders(k_max), psi1)
     psi[1::2] *= -1.0
-    rigid = RigidState(ell[[1, 0]], float(w_state.ell))
-    return ModeDecomposition(grid, w_state.y, psi.reshape(-1, 2, grid.n_points), rigid)
+    rigid = RigidState(psi1[[1, 0]], float(ell[0]))
+    return ModeDecomposition(grid, z[0], psi.reshape(-1, 2, grid.n_points), rigid)
 
 
-def _packed_system(grid, params, n_high, theta):
-    """Every distinct channel operator in one packed system: w, the mode-1
-    operator shared by z_psi and z_phi, then one operator per higher mode
-    shared by its two channels.  Returns the stepper and the (validated)
-    parameters of the w channel, which carry the common time scheme; both
-    are memoized on the grid, so a march validates its parameters once."""
-    return grid.memo(("stokes", params, n_high, theta), _build_packed_system,
-                     grid, params, n_high, theta)
+def _packed_system(grid, params, k_max):
+    """The stepper of every row of a k_max stack and the (validated)
+    parameters of the w row, which carry the common time scheme; memoized on
+    the grid, so a march validates its parameters once."""
+    return grid.memo(("stokes", params, k_max), _build_packed_system, grid, params, k_max)
 
 
-def _build_packed_system(grid, params, n_high, theta):
-    ops = [subsystem_params(params, "w", theta=theta), subsystem_params(params, "z1", theta=theta)]
-    ops += [subsystem_params(params, "higher", k=k, theta=theta) for k in range(2, n_high + 2)]
+def _build_packed_system(grid, params, k_max):
+    z1 = subsystem_params(params, "z1")
+    ops = [subsystem_params(params, "w"), z1, z1]
+    for k in range(2, k_max + 1):
+        ops += [subsystem_params(params, "higher", k=k)] * 2
     return dynbc.packed_stepper(grid, ops), ops[0]
 
 
-def step_stokes(state, dt, sources=None, first_step=False, theta=0.5):
+def step_stokes(state, dt, sources=None, first_step=False):
     """Advance every scalar subsystem by dt; the decomposition of the new
     state is derived when first read.
 
-    sources, if given, holds (fluid profile, boundary source) pairs in the
-    channel layout, as produced by decomp_to_sources; blocks beyond the
+    sources, if given, is a (fluid stack, boundary values) pair in the row
+    layout of StokesState, as produced by decomp_to_sources; rows beyond the
     state's are ignored and missing ones stay unforced.  The subsystems
     remain exactly decoupled inside the one packed solve.
     """
-    stepper, scheme = _packed_system(state.grid, state.params, len(state.channels) - 2, theta)
-    channels = stepper.step(
-        state.channels, dt, scheme.theta, scheme.startup_steps, sources, first_step
-    )
-    return StokesState(tuple(map(tuple, channels)), state.t + dt, state.params)
+    stepper, scheme = _packed_system(state.grid, state.params, state.k_max)
+    z = stepper.step(state.z, state.ell, dt, scheme.theta, scheme.startup_steps,
+                     sources, first_step)
+    return StokesState(state.grid, z, z[:, 0], state.t + dt, state.params)
 
 
 def evolve_stokes(state0, t_end, dt, observer=None, observe_times=None):
@@ -209,44 +205,41 @@ def evolve_stokes(state0, t_end, dt, observer=None, observe_times=None):
 
 
 def state_axpy(ca, a, cb=0.0, b=None):
-    """Linear combination of Stokes states (all channels are linear)."""
+    """Linear combination of Stokes states (all channels are linear); the
+    shorter stack counts as zero-padded, as in decomp_axpy."""
     if b is None:
-        b = a
-        cb = 0.0
+        b, cb = a, 0.0
     decomp = decomp_axpy(ca, a.decomp, cb, b.decomp)
-    return StokesState(_channels_axpy(ca, a, cb, b), a.t, a.params, _decomp=decomp)
+    return StokesState(a.grid, _axpy(ca, a.z, cb, b.z), _axpy(ca, a.ell, cb, b.ell),
+                       a.t, a.params, _decomp=decomp)
 
 
-def _channels_axpy(ca, a, cb, b):
-    """The channels of state_axpy(ca, a, cb, b) alone, at a.t: enough for a
-    state that only step_stokes reads, with no decomposition to combine."""
-    return tuple(
-        tuple(
-            ScalarModeState(a.grid, ca * sa.y + cb * sb.y, ca * sa.ell + cb * sb.ell, a.t)
-            for sa, sb in zip(block_a, block_b)
-        )
-        for block_a, block_b in zip(a.channels, b.channels)
-    )
+def _axpy(ca, x, cb, y):
+    """ca*x + cb*y of two row stacks, the shorter counting as zero-padded."""
+    if len(x) < len(y):
+        ca, x, cb, y = cb, y, ca, x
+    out = ca * x
+    out[:len(y)] += cb * y
+    return out
 
 
 def decomp_to_sources(decomp):
-    """(fluid profile, boundary value) pairs of a field in the channel
-    layout of StokesState: the z variables of initial data (init_stokes), or
-    the per-subsystem sources of a forcing field such as the projected
-    convection term (step_stokes).
+    """The (z, ell) stack of a field in the row layout of StokesState: the z
+    variables of initial data (init_stokes), or the per-subsystem sources of
+    a forcing field such as the projected convection term (step_stokes).
 
     The boundary ODEs are forced by the rigid part of the projection: the
     rotation rate feeds the w system and twice the translation components
     feed the mode-1 z systems (their boundary scalars are 2*ell)."""
     grid = decomp.grid
     rig = decomp.rigid
-    z = z_transform(grid, decomp.profiles.reshape(-1, grid.n_points), _orders(decomp.k_max))
-    z[1::2] *= -1.0
-    return (
-        ((decomp.w, float(rig.omega)),),
-        ((z[0], 2.0 * float(rig.ell[1])), (z[1], 2.0 * float(rig.ell[0]))),
-        *(((zpk, 0.0), (zfk, 0.0)) for zpk, zfk in z[2:].reshape(-1, 2, grid.n_points)),
-    )
+    z = np.empty((2 * decomp.k_max + 1, grid.n_points))
+    z[0] = decomp.w
+    z[1:] = z_transform(grid, decomp.profiles.reshape(-1, grid.n_points), _orders(decomp.k_max))
+    z[2::2] *= -1.0
+    ell = np.zeros(len(z))
+    ell[:3] = rig.omega, 2.0 * rig.ell[1], 2.0 * rig.ell[0]
+    return z, ell
 
 
 def lamb_oseen_profile(grid, t, nu, M_vec):
@@ -274,8 +267,8 @@ def recover_mode1_pressure(state):
     params = state.params
     grid = state.grid
     fac = params.nu * (math.pi - params.m) / (math.pi + params.m)
-    beta_q = fac * grid.boundary_derivative(state.z_psi.y)
-    beta_p = fac * grid.boundary_derivative(state.z_phi.y)
+    beta_q = fac * grid.boundary_derivative(state.z[1])
+    beta_p = fac * grid.boundary_derivative(state.z[2])
     return beta_q, beta_p
 
 

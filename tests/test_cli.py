@@ -287,11 +287,12 @@ def test_every_preset_and_kind_exits_cleanly(tmp_path, capsys, preset, kind):
 
 def test_translation_ratio_along_y_momentum(tmp_path):
     # ns-small-q32 translates along y (M_vec = (0, My)): the ratio divides by
-    # the nonzero component and says so
+    # the nonzero component and says so.  gamma = 2 gives its stream profile
+    # the finite momentum the translation law assumes.
     cfg = tmp_path / "y.cfg"
     out = tmp_path / "out"
     cfg.write_text(
-        "[experiment]\nkind = evolve-stokes\n[initial_data]\npreset = ns-small-q32\n"
+        "[experiment]\nkind = evolve-stokes\n[initial_data]\npreset = ns-small-q32\ngamma = 2\n"
         "[grid]\nn_points = 128\n[time]\ndt = 0.025\nt_end = 0.1\n"
         f"[output]\ndir = {out}\n"
     )
@@ -303,6 +304,21 @@ def test_translation_ratio_along_y_momentum(tmp_path):
     label, value = line.split(" = ")
     assert label == "translation_ratio 8*pi*nu*t*ell_y/My"
     assert math.isfinite(float(value))
+
+
+def test_no_translation_check_without_finite_momentum(tmp_path):
+    # ns-small-q32's r^-0.34 stream tail carries no finite momentum, so the
+    # translation law does not apply: no ratio, no check, a clean exit
+    cfg = tmp_path / "q.cfg"
+    out = tmp_path / "out"
+    cfg.write_text(
+        "[experiment]\nkind = evolve-stokes\n[initial_data]\npreset = ns-small-q32\n"
+        f"[grid]\nn_points = 512\n[time]\nt_end = 4\n[output]\ndir = {out}\n"
+    )
+    assert cli.main(["run", str(cfg)]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert "disk-translation" not in summary and "translation_ratio" not in summary
+    assert "momentum = " in summary
 
 
 def test_kind_mismatch_names_kind_and_preset(tmp_path, capsys):

@@ -13,7 +13,7 @@ from diskflow.dynbc import DynBCParams, ScalarModeState
 from diskflow.errors import InvalidArgument, NonpositiveTime, SolverFailure, UnsupportedVariant
 from diskflow.grid import build_grid
 from diskflow.presets import build_setup, get_preset
-from oracles import naive_march
+from oracles import dense_channel_step, naive_march
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +275,47 @@ def test_change_of_dimension_map():
     v_final[1:-1] = u[1:]
     assert abs(u[0] - st.ell) < 1e-4
     assert np.max(np.abs(v_final - st.y / r)) < 1e-4
+
+
+def _random_row_params(rng, nu, theta, startup_steps):
+    k = int(rng.integers(0, 5))
+    if k < 2 and rng.integers(2):
+        return DynBCParams(k, float(rng.uniform(0.2, 5.0)), nu, "dynamic", theta, startup_steps)
+    return DynBCParams(max(k, 1), 1.0, nu, "dirichlet", theta, startup_steps)
+
+
+def test_packed_stepper_matches_dense_rows():
+    # random theta, startup substeps, operators and sources: every row of one
+    # packed solve, and the one-row dynbc.step, against a dense solve per row
+    rng = np.random.default_rng(2025)
+    for _ in range(24):
+        g = build_grid(int(rng.integers(16, 120)), float(rng.uniform(2.5, 40.0)),
+                       float(rng.uniform(0.0, 2.5)))
+        nu, dt = float(rng.uniform(0.2, 3.0)), float(rng.uniform(1e-3, 0.5))
+        theta, startup = float(rng.uniform(0.0, 1.0)), int(rng.integers(0, 4))
+        first_step = bool(rng.integers(2))
+        ops = [_random_row_params(rng, nu, theta, startup) for _ in range(int(rng.integers(1, 7)))]
+        z = rng.standard_normal((len(ops), g.n_points))
+        z[:, -1] = 0.0
+        ell = rng.standard_normal(len(ops))
+        sources = None
+        if rng.integers(2):  # with one row too few or too many
+            rows = len(ops) + int(rng.integers(-1, 2))
+            sources = (rng.standard_normal((rows, g.n_points)), rng.standard_normal(rows))
+        new = dynbc.packed_stepper(g, ops).step(z, ell, dt, theta, startup, sources, first_step)
+        assert new.shape == z.shape and not new.flags.writeable
+        for i, p in enumerate(ops):
+            before = ScalarModeState(g, z[i], ell[i], 0.0)
+            src = None
+            if sources is not None and i < len(sources[1]):
+                src = (sources[0][i], sources[1][i])
+            y, e = dense_channel_step(before, p, dt, source=src, first_step=first_step)
+            scale = max(np.max(np.abs(y)), abs(e), 1e-300)
+            assert np.max(np.abs(new[i] - y)) <= 1e-12 * scale
+            assert abs(new[i, 0] - e) <= 1e-12 * scale
+            one = dynbc.step(before, p, dt, source=src, first_step=first_step)
+            assert np.max(np.abs(one.y - y)) <= 1e-12 * scale
+            assert one.ell == one.y[0] and one.t == dt
 
 
 def test_recorder_format(tmp_path, grid):

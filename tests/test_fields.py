@@ -453,6 +453,10 @@ MALFORMED_FIELD_FILES = {
     "inf-value": _edit(6, lambda s: _set_value(s, 1, "inf")),
     "word-value": _edit(7, lambda s: _set_value(s, 3, "x")),
     "no-rows": lambda lines: lines[:2],
+    # ell_x no longer equals -Phi(1), in the header or in the first row
+    "ell-off-trace": _edit(0, lambda s: "# " + " ".join(
+        [repr(float(s.split()[1]) * (1 + 1e-9))] + s.split()[2:])),
+    "trace-off-ell": _edit(2, lambda s: _set_value(s, 3, repr(float(s.split(", ")[3]) + 1e-6))),
 }
 
 

@@ -298,7 +298,7 @@ def test_kato_contracts_and_matches_imex(grid, params):
 
 
 def test_kato_forcing_states_skip_decomp_axpy(monkeypatch):
-    # step_stokes reads channels only, so the forced state of each Kato step
+    # step_stokes reads the stack only, so the forced state of each Kato step
     # combines no decomposition: what is left is the zero state, then per
     # iterate one call per new state and one per difference to the previous
     calls = []

@@ -8,10 +8,10 @@ import pytest
 from conftest import random_decomposition
 from oracles import dense_channel_step
 
-from diskflow import stokes
+from diskflow import dynbc, stokes
 from diskflow.elliptic import z_transform
 from diskflow.dynbc import DynBCParams
-from diskflow.errors import NonpositiveTime, SolverFailure
+from diskflow.errors import InvalidArgument, NonpositiveTime, SolverFailure
 from diskflow.fields import (
     ModeDecomposition,
     RigidState,
@@ -46,6 +46,17 @@ def test_init_zero(grid, params):
     assert np.all(st.z_psi.y == 0) and st.z_psi.ell == 0
     assert np.all(st.w_state.y == 0)
     assert all(np.all(z.y == 0) for pair in st.z_higher for z in pair)
+
+
+def test_init_rejects_nonfinite_data(grid, params):
+    # a nan in w or in a higher-mode profile
+    d = random_decomposition(grid, np.random.default_rng(28), k_max=2)
+    w, profiles = d.w.copy(), d.profiles.copy()
+    w[5] = profiles[1, 0, 5] = np.nan
+    for bad in (ModeDecomposition(grid, w, d.profiles, d.rigid),
+                ModeDecomposition(grid, d.w, profiles, d.rigid)):
+        with pytest.raises(InvalidArgument):
+            stokes.init_stokes(bad, params)
 
 
 def test_init_pure_translation_harmonic_tail(grid, params):
@@ -316,9 +327,23 @@ def test_mode1_mass_invariance_through_evolution(translating_run):
     assert drift < 1e-6
 
 
+def _rows(st):
+    """ScalarModeState views of a state's rows, in stack order."""
+    return [st.w_state, st.z_psi, st.z_phi, *(z for pair in st.z_higher for z in pair)]
+
+
+def _row_params(params, k_max):
+    """DynBCParams of each row of a k_max state: w, mode 1 twice, then each
+    higher mode twice."""
+    ops = [stokes.subsystem_params(params, "w")] + [stokes.subsystem_params(params, "z1")] * 2
+    for k in range(2, k_max + 1):
+        ops += [stokes.subsystem_params(params, "higher", k=k)] * 2
+    return ops
+
+
 def test_packed_step_matches_dense_channels():
-    # one packed banded solve for every channel against a dense solve per
-    # channel, over random grids, step parameters, startup and sources
+    # one packed banded solve for every row against a dense solve per row,
+    # over random grids, step lengths, startup and sources
     rng = np.random.default_rng(2024)
     for _ in range(16):
         grid = build_grid(int(rng.integers(16, 120)), float(rng.uniform(2.5, 40.0)),
@@ -326,51 +351,39 @@ def test_packed_step_matches_dense_channels():
         params = PhysicalParams(nu=float(rng.uniform(0.2, 3.0)), m=float(rng.uniform(0.5, 10.0)))
         k_max = int(rng.integers(1, 6))
         dt = float(rng.uniform(1e-3, 0.5))
-        theta = float(rng.uniform(0.0, 1.0))
         first_step = bool(rng.integers(2))
         state = stokes.init_stokes(random_decomposition(grid, rng, k_max), params)
         sources = None
         if rng.integers(2):
             sources = stokes.decomp_to_sources(random_decomposition(grid, rng, k_max))
-        new = stokes.step_stokes(state, dt, sources=sources, first_step=first_step, theta=theta)
-        ops = [stokes.subsystem_params(params, "w", theta=theta),
-               stokes.subsystem_params(params, "z1", theta=theta)]
-        ops += [stokes.subsystem_params(params, "higher", k=k, theta=theta)
-                for k in range(2, k_max + 1)]
-        assert len(ops) == len(state.channels) == len(new.channels)
-        channels = [
-            (before, after, p, None if sources is None else sources[b][c])
-            for b, p in enumerate(ops)
-            for c, (before, after) in enumerate(zip(state.channels[b], new.channels[b]))
-        ]
-        assert len(channels) == 2 * k_max + 1
-        for before, after, p, s in channels:
+        new = stokes.step_stokes(state, dt, sources=sources, first_step=first_step)
+        ops = _row_params(params, k_max)
+        assert len(ops) == len(state.z) == len(new.z) == 2 * k_max + 1
+        for i, (before, p) in enumerate(zip(_rows(state), ops)):
+            s = None if sources is None else (sources[0][i], sources[1][i])
             y, ell = dense_channel_step(before, p, dt, source=s, first_step=first_step)
             scale = max(np.max(np.abs(y)), abs(ell), 1e-300)
-            assert np.max(np.abs(after.y - y)) <= 1e-12 * scale
-            assert abs(after.ell - ell) <= 1e-12 * scale
-            assert after.t == before.t + dt
+            assert np.max(np.abs(new.z[i] - y)) <= 1e-12 * scale
+            assert abs(new.ell[i] - ell) <= 1e-12 * scale
+        assert new.t == state.t + dt
 
 
-def _same_channels(a, b):
-    """Two channel layouts hold the same (y, ell) pairs, bit for bit."""
-    assert len(a) == len(b)
-    for block_a, block_b in zip(a, b):
-        assert len(block_a) == len(block_b)
-        for (ya, la), (yb, lb) in zip(block_a, block_b):
-            assert np.array_equal(ya, yb) and la == lb
-
-
-def _pairs(channels):
-    return [[(z.y, z.ell) for z in block] for block in channels]
+def _same_stack(a, b):
+    """Two (z, ell) stacks hold the same values, bit for bit."""
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_init_channels_are_the_source_layout(grid, params):
     d = random_decomposition(grid, np.random.default_rng(21), k_max=4)
     st = stokes.init_stokes(d, params, t=0.5)
-    _same_channels(_pairs(st.channels), stokes.decomp_to_sources(d))
-    assert [len(block) for block in st.channels] == [1, 2, 2, 2, 2]
-    assert all(z.t == 0.5 for block in st.channels for z in block)
+    _same_stack((st.z, st.ell), stokes.decomp_to_sources(d))
+    assert st.z.shape == (9, grid.n_points) and st.k_max == 4
+    # rows w, z_psi_1, z_phi_1, z_psi_2, ...: w and the boundary values
+    # omega, 2 ell_y, 2 ell_x, then zeros
+    assert np.array_equal(st.z[0], d.w)
+    assert list(st.ell) == [d.rigid.omega, 2.0 * d.rigid.ell[1], 2.0 * d.rigid.ell[0]] + [0.0] * 6
+    assert [(z.ell, z.t) for z in _rows(st)] == [(e, 0.5) for e in st.ell]
+    assert all(np.shares_memory(z.y, st.z) for z in _rows(st))
 
 
 def test_sources_with_fewer_modes_leave_the_extra_modes_unforced(grid, params):
@@ -379,33 +392,49 @@ def test_sources_with_fewer_modes_leave_the_extra_modes_unforced(grid, params):
     sources = stokes.decomp_to_sources(random_decomposition(grid, rng, k_max=2))
     forced = stokes.step_stokes(st, 0.05, sources=sources, first_step=True)
     plain = stokes.step_stokes(st, 0.05, first_step=True)
-    n = len(sources)
-    _same_channels(_pairs(forced.channels[n:]), _pairs(plain.channels[n:]))
+    n = len(sources[1])
+    _same_stack((forced.z[n:], forced.ell[n:]), (plain.z[n:], plain.ell[n:]))
     assert not np.array_equal(forced.z_phi.y, plain.z_phi.y)
 
 
 def test_sources_beyond_the_state_modes_are_ignored(grid, params):
     rng = np.random.default_rng(23)
     st = stokes.init_stokes(random_decomposition(grid, rng, k_max=2), params)
-    sources = stokes.decomp_to_sources(random_decomposition(grid, rng, k_max=5))
-    assert len(sources) > len(st.channels)
-    full = stokes.step_stokes(st, 0.05, sources=sources)
-    cut = stokes.step_stokes(st, 0.05, sources=sources[:len(st.channels)])
-    _same_channels(_pairs(full.channels), _pairs(cut.channels))
+    z, ell = stokes.decomp_to_sources(random_decomposition(grid, rng, k_max=5))
+    rows = len(st.ell)
+    assert len(ell) > rows
+    full = stokes.step_stokes(st, 0.05, sources=(z, ell))
+    cut = stokes.step_stokes(st, 0.05, sources=(z[:rows], ell[:rows]))
+    _same_stack((full.z, full.ell), (cut.z, cut.ell))
 
 
 def test_stepped_channels_are_read_only_and_unshared(grid, params):
     st = stokes.init_stokes(random_decomposition(grid, np.random.default_rng(24), k_max=4), params)
     st = stokes.step_stokes(st, 0.05, first_step=True)
-    states = [z for block in st.channels for z in block]
-    assert len(states) == 9
-    for z in states:
-        assert not z.y.flags.writeable
+    new = stokes.step_stokes(st, 0.05)
+    assert len(_rows(st)) == 9
+    for a in (st.z, st.ell, *(z.y for z in _rows(st))):
+        assert not a.flags.writeable
         with pytest.raises(ValueError):
-            z.y[1] = 1.0
-    for i, a in enumerate(states):
-        for b in states[i + 1:]:
-            assert not np.shares_memory(a.y, b.y)
+            a[..., 1] = 1.0
+    assert not np.shares_memory(st.z, new.z)
+
+
+def test_state_axpy_pads_the_shorter_stack(grid, params):
+    # unequal mode counts combine as zero-padded stacks, like decomp_axpy, so
+    # a step of the sum keeps every mode
+    rng = np.random.default_rng(27)
+    a = stokes.init_stokes(random_decomposition(grid, rng, k_max=4), params)
+    b = stokes.init_stokes(random_decomposition(grid, rng, k_max=2), params)
+    for mixed in (stokes.state_axpy(1.0, a, 1.0, b), stokes.state_axpy(1.0, b, 1.0, a)):
+        assert stokes.step_stokes(mixed, 0.05).decomp.k_max == 4
+        assert mixed.z.shape == a.z.shape and mixed.decomp.k_max == 4
+        _same_stack((mixed.z[5:], mixed.ell[5:]), (a.z[5:], a.ell[5:]))
+        assert np.array_equal(mixed.z[:5], a.z[:5] + b.z)
+        stepped = stokes.step_stokes(mixed, 0.05)
+        assert stepped.z.shape == a.z.shape and stepped.decomp.k_max == 4
+        _same_stack((stepped.z[5:], stepped.ell[5:]),
+                    (stokes.step_stokes(a, 0.05).z[5:], stokes.step_stokes(a, 0.05).ell[5:]))
 
 
 @pytest.mark.parametrize("k_max", [1, 2, 3, 4, 5])
@@ -427,7 +456,7 @@ def test_one_transform_and_one_inversion_per_state(grid, params, monkeypatch, k_
     stokes.decomp_to_sources(d)
     assert calls == {"z_transform": 1, "invert_z": 0}
     st = stokes.init_stokes(d, params)
-    stokes._rebuild_decomp(grid, st.channels)
+    stokes._rebuild_decomp(grid, st.z, st.ell)
     assert calls == {"z_transform": 2, "invert_z": 1}
 
 
@@ -452,12 +481,10 @@ def test_march_validates_parameters_on_its_first_step_only(params, monkeypatch):
 def test_nonfinite_stokes_source_rejected(grid, params):
     rng = np.random.default_rng(26)
     st = stokes.init_stokes(random_decomposition(grid, rng, k_max=3), params)
-    sources = [list(block) for block in stokes.decomp_to_sources(random_decomposition(grid, rng, 3))]
-    fluid = sources[2][1][0].copy()
-    fluid[grid.n_points // 2] = np.nan
-    sources[2][1] = (fluid, 0.0)
+    z, ell = stokes.decomp_to_sources(random_decomposition(grid, rng, 3))
+    z[4, grid.n_points // 2] = np.nan  # the phi row of mode 2
     with pytest.raises(SolverFailure):
-        stokes.step_stokes(st, 0.05, sources=sources)
+        stokes.step_stokes(st, 0.05, sources=(z, ell))
 
 
 def _decomp_arrays(d):
@@ -470,7 +497,7 @@ def _assert_same_decomp(a, b):
 
 
 def _eager_decomp(st):
-    return stokes._rebuild_decomp(st.grid, st.channels)
+    return stokes._rebuild_decomp(st.grid, st.z, st.ell)
 
 
 @pytest.fixture
@@ -538,12 +565,9 @@ def test_state_axpy_decomp_matches_decomp_axpy(grid, params):
 
 def test_lazy_decomposition_property():
     # marching in two legs equals marching in one, and the decomposition read
-    # lazily after every step equals the eager rebuild of that step's channels
+    # lazily after every step equals the eager rebuild of that step's stack
     hyp = pytest.importorskip("hypothesis")
     hst = hyp.strategies
-
-    def channels(st):
-        return [(z.y, z.ell, z.t) for block in st.channels for z in block]
 
     def check_lazy(st):
         _assert_same_decomp(st.decomp, _eager_decomp(st))
@@ -558,12 +582,11 @@ def test_lazy_decomposition_property():
         r_max=hst.floats(2.5, 40.0),
         stretch=hst.one_of(hst.just(0.0), hst.floats(0.1, 2.5)),
         dt=hst.floats(1e-3, 0.5),
-        theta=hst.floats(0.0, 1.0),
         n1=hst.integers(0, 4),
         n2=hst.integers(1, 4),
         seed=hst.integers(0, 2**32 - 1),
     )
-    def check(n_points, r_max, stretch, dt, theta, n1, n2, seed):
+    def check(n_points, r_max, stretch, dt, n1, n2, seed):
         rng = np.random.default_rng(seed)
         grid = build_grid(n_points, r_max, stretch)
         params = PhysicalParams(nu=float(rng.uniform(0.2, 3.0)), m=float(rng.uniform(0.5, 10.0)))
@@ -572,12 +595,91 @@ def test_lazy_decomposition_property():
         split = stokes.evolve_stokes(leg1, (n1 + n2) * dt, dt, observer=stepped_only(state0))
         whole = stokes.evolve_stokes(state0, (n1 + n2) * dt, dt, observer=stepped_only(state0))
         assert split.t == whole.t
-        for (ya, la, ta), (yb, lb, tb) in zip(channels(split), channels(whole)):
-            assert np.array_equal(ya, yb) and la == lb and ta == tb
+        _same_stack((split.z, split.ell), (whole.z, whole.ell))
         _assert_same_decomp(split.decomp, whole.decomp)
         st = state0
         for j in range(n2):
-            st = stokes.step_stokes(st, dt, first_step=(j == 0), theta=theta)
+            st = stokes.step_stokes(st, dt, first_step=(j == 0))
             check_lazy(st)
+
+    check()
+
+
+def _random_setup(rng, n_points, r_max, stretch):
+    grid = build_grid(n_points, r_max, stretch)
+    params = PhysicalParams(nu=float(rng.uniform(0.2, 3.0)), m=float(rng.uniform(0.5, 10.0)))
+    return grid, params
+
+
+def test_step_stokes_commutes_with_state_axpy_property():
+    # the step is linear in the state and the sources together: stepping a
+    # combination equals combining the steps, with unequal mode counts
+    # zero-padded on both sides
+    hyp = pytest.importorskip("hypothesis")
+    hst = hyp.strategies
+
+    @hyp.settings(max_examples=40, deadline=None, database=None)
+    @hyp.given(
+        n_points=hst.integers(16, 160),
+        r_max=hst.floats(2.5, 40.0),
+        stretch=hst.one_of(hst.just(0.0), hst.floats(0.1, 2.5)),
+        dt=hst.floats(1e-3, 0.5),
+        k_a=hst.integers(1, 4),
+        k_b=hst.integers(1, 4),
+        ca=hst.floats(-3.0, 3.0),
+        cb=hst.floats(-3.0, 3.0),
+        first_step=hst.booleans(),
+        forced=hst.booleans(),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def check(n_points, r_max, stretch, dt, k_a, k_b, ca, cb, first_step, forced, seed):
+        rng = np.random.default_rng(seed)
+        grid, params = _random_setup(rng, n_points, r_max, stretch)
+        a, b = (stokes.init_stokes(random_decomposition(grid, rng, k), params) for k in (k_a, k_b))
+        src_a = src_b = src = None
+        if forced:
+            da, db = (random_decomposition(grid, rng, k) for k in (k_a, k_b))
+            src_a, src_b = stokes.decomp_to_sources(da), stokes.decomp_to_sources(db)
+            src = tuple(stokes._axpy(ca, x, cb, y) for x, y in zip(src_a, src_b))
+        lhs = stokes.step_stokes(stokes.state_axpy(ca, a, cb, b), dt, src, first_step)
+        rhs = stokes.state_axpy(ca, stokes.step_stokes(a, dt, src_a, first_step),
+                                cb, stokes.step_stokes(b, dt, src_b, first_step))
+        assert lhs.z.shape == rhs.z.shape == (2 * max(k_a, k_b) + 1, n_points)
+        for x, y in ((lhs.z, rhs.z), (lhs.ell, rhs.ell)):
+            scale = max(np.max(np.abs(x)), np.max(np.abs(y)), 1e-300)
+            assert np.max(np.abs(x - y)) <= 1e-12 * scale
+
+    check()
+
+
+def test_row_lyapunov_nonincreasing_property():
+    # on every unforced step after the first, the p = 2 Lyapunov functional
+    # of each row (u^T M u of its packed unknowns) does not grow: exactly so
+    # for theta >= 1/2, here to roundoff
+    hyp = pytest.importorskip("hypothesis")
+    hst = hyp.strategies
+
+    @hyp.settings(max_examples=40, deadline=None, database=None)
+    @hyp.given(
+        n_points=hst.integers(16, 160),
+        r_max=hst.floats(2.5, 40.0),
+        stretch=hst.one_of(hst.just(0.0), hst.floats(0.1, 2.5)),
+        dt=hst.floats(1e-3, 0.5),
+        k_max=hst.integers(1, 4),
+        n_steps=hst.integers(1, 6),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def check(n_points, r_max, stretch, dt, k_max, n_steps, seed):
+        rng = np.random.default_rng(seed)
+        grid, params = _random_setup(rng, n_points, r_max, stretch)
+        ops = _row_params(params, k_max)
+        st = stokes.init_stokes(random_decomposition(grid, rng, k_max), params)
+        st = stokes.step_stokes(st, dt, first_step=True)
+        for _ in range(n_steps):
+            new = stokes.step_stokes(st, dt)
+            for before, after, p in zip(_rows(st), _rows(new), ops):
+                prev = dynbc.lyapunov_functional(before, p, 2.0)
+                assert dynbc.lyapunov_functional(after, p, 2.0) <= prev * (1.0 + 1e-12)
+            st = new
 
     check()

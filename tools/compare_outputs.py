@@ -1,0 +1,130 @@
+"""Compare the CLI output files of a git revision with those of the work tree.
+
+Usage:  python3 tools/compare_outputs.py <rev>
+
+Exports <rev> with `git archive` into a temporary directory and runs the same
+experiment configs with `python -m diskflow run` there and in the work tree:
+the seven presets, each at its own kind, compare-asymptotic on
+translating-disk, and ns-small-q32 under evolve-stokes (n_points = 512,
+t_end = 4).  The two trees run side by side, one process each; on two cores
+the whole comparison takes about a minute, most of it the ns-small-q32 run.
+
+For each output file it prints "identical", or the largest relative
+difference of its numbers, or the first line that differs in anything but
+numbers.  Comment lines (the resolved config) are set aside.  A differing
+exit status is reported too.  Exits 0 when every file is identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (label, config body without [output]); each preset at its own kind first
+CONFIGS = [
+    (preset, f"[experiment]\nkind = {kind}\n[initial_data]\npreset = {preset}\n")
+    for preset, kind in (
+        ("unit-kick-k0", "mode-heat"),
+        ("w-bump-k1", "mode-heat"),
+        ("translating-disk", "evolve-stokes"),
+        ("neutral-buoyancy", "evolve-stokes"),
+        ("higher-modes-only", "evolve-stokes"),
+        ("ns-small-q32", "evolve-ns"),
+        ("kato-small", "kato"),
+    )
+] + [
+    ("translating-disk-compare", "[experiment]\nkind = compare-asymptotic\n"
+     "[initial_data]\npreset = translating-disk\n"),
+    ("ns-small-q32-stokes", "[experiment]\nkind = evolve-stokes\n"
+     "[initial_data]\npreset = ns-small-q32\n[grid]\nn_points = 512\n[time]\nt_end = 4\n"),
+]
+
+
+def export(rev, dest):
+    """Write the tree of rev into dest."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
+
+
+def start(tree, label, body, out_root):
+    """Start one run of config body in tree; returns (process, output dir)."""
+    out = os.path.join(out_root, label)
+    os.makedirs(out)
+    cfg = os.path.join(out_root, f"{label}.cfg")
+    with open(cfg, "w") as fh:
+        fh.write(body + f"[output]\ndir = {out}\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "diskflow", "run", cfg], cwd=tree, env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return proc, out
+
+
+def data_lines(path):
+    with open(path) as fh:
+        return [line.rstrip("\n") for line in fh if not line.startswith("#")]
+
+
+def tokens(line):
+    return line.replace(",", " ").replace("=", " ").split()
+
+
+def compare_file(a, b):
+    """'identical', the largest relative difference, or the first line that
+    differs beyond its numbers."""
+    la, lb = data_lines(a), data_lines(b)
+    if la == lb:
+        return "identical"
+    if len(la) != len(lb):
+        first = next((x for x, y in zip(la, lb) if x != y), "(none)")
+        return f"{len(la)} against {len(lb)} lines, first differing line {first!r}"
+    worst = 0.0
+    for x, y in zip(la, lb):
+        tx, ty = tokens(x), tokens(y)
+        if len(tx) != len(ty):
+            return f"differs: {x!r} against {y!r}"
+        for u, v in zip(tx, ty):
+            if u == v:
+                continue
+            try:
+                fu, fv = float(u), float(v)
+            except ValueError:
+                return f"differs: {x!r} against {y!r}"
+            worst = max(worst, abs(fu - fv) / max(abs(fu), abs(fv)))
+    return f"largest relative difference {worst:.3e}"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare the work tree against")
+    args = parser.parse_args(argv)
+    all_identical = True
+    with tempfile.TemporaryDirectory() as tmp:
+        base = os.path.join(tmp, "rev")
+        os.makedirs(base)
+        export(args.rev, base)
+        for label, body in CONFIGS:
+            runs = [start(tree, label, body, os.path.join(tmp, side))
+                    for tree, side in ((base, "out-rev"), (ROOT, "out-tree"))]
+            (pa, da), (pb, db) = runs
+            status = (pa.wait(), pb.wait())
+            if status[0] != status[1]:
+                all_identical = False
+                print(f"{label}: exit status {status[0]} against {status[1]}")
+            for name in sorted(set(os.listdir(da)) | set(os.listdir(db))):
+                fa, fb = os.path.join(da, name), os.path.join(db, name)
+                if not (os.path.exists(fa) and os.path.exists(fb)):
+                    verdict = "written by one side only"
+                else:
+                    verdict = compare_file(fa, fb)
+                all_identical &= verdict == "identical"
+                print(f"{label}/{name}: {verdict}")
+    return 0 if all_identical else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
