@@ -32,6 +32,7 @@ system (step) is the one-row case.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -89,6 +90,8 @@ class DynBCParams:
             raise InvalidArgument("nu must be > 0")
         if not 0.0 <= self.theta <= 1.0:
             raise InvalidArgument("theta must lie in [0, 1]")
+        if not isinstance(self.startup_steps, numbers.Integral) or self.startup_steps < 0:
+            raise InvalidArgument("startup_steps must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -135,8 +138,10 @@ class PackedStepper:
     zero by an identity row.  The rows sit along the diagonal of one SPD
     tridiagonal matrix whose coupling entries at each row edge and next to a
     pinned entry are zero, so they stay exactly decoupled: a (sub)step is one
-    banded Cholesky solve of one column, factored once per (theta, dt).  All
-    operators share one viscosity.
+    banded Cholesky solve of one column.  All operators share one viscosity,
+    so the factor is cached under the implicit coefficient theta nu dt alone:
+    the Rannacher substeps theta = 1, dt/2 of the default two-substep start
+    reuse the Crank-Nicolson factor theta = 1/2, dt.
     """
 
     def __init__(self, grid, ops):
@@ -148,41 +153,55 @@ class PackedStepper:
         stiff = grid.face_r / grid.spacings  # exact P1 element integrals r_{i+1/2}/h_i
         self.dynamic = np.array([p.variant == "dynamic" for p in ops])
         self.alpha = np.array([p.alpha_tilde for p in ops])
-        mvec = np.ones((len(ops), grid.n_points - 1))  # a pinned entry keeps 1
+        # rows of one (k, alpha_tilde, variant) share one block: it is built
+        # and factored once, and gathered onto each of its rows
+        keys = [(p.k, p.alpha_tilde, p.variant) for p in ops]
+        index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        self.block = np.array([index[key] for key in keys])  # each row's block
+        mvec = np.ones((len(index), grid.n_points - 1))  # a pinned entry keeps 1
         diag = np.zeros_like(mvec)
         off = np.zeros_like(mvec)  # the last entry of a row couples to nothing
-        for p, m, d, o in zip(ops, mvec, diag, off):
-            kk = p.k * p.k
+        for (k, alpha, variant), m, d, o in zip(index, mvec, diag, off):
+            kk = k * k
             # nodes 1 .. n-2; the Dirichlet variant stops there
             d[1:] = stiff[:-1] + stiff[1:] + kk * w[1:-1] / r[1:-1] ** 2
             m[1:] = w[1:-1]
             o[1:-1] = -stiff[1:-1]
-            if p.variant == "dynamic":
+            if variant == "dynamic":
                 # node 0 carries ell: ball mass 1/alpha and boundary flux k*y
-                d[0] = stiff[0] + kk * w[0] / r[0] ** 2 + p.k
-                m[0] = w[0] + 1.0 / p.alpha_tilde
+                d[0] = stiff[0] + kk * w[0] / r[0] ** 2 + k
+                m[0] = w[0] + 1.0 / alpha
                 o[0] = -stiff[0]
-        self.mvec = mvec.ravel()
-        self.k_diag = diag.ravel()
-        self.k_off = off.ravel()[:-1]
-        self._systems = {}
+        self._blocks = (mvec.ravel(), diag.ravel(), off.ravel()[:-1])
+        self.mvec = mvec[self.block].ravel()
+        self.k_diag = diag[self.block].ravel()
+        self.k_off = off[self.block].ravel()[:-1]
+        self._factors = {}
 
-    def _system(self, theta, dt):
-        """Banded Cholesky factor of M + theta dt nu K, and the explicit
-        coefficient (1 - theta) dt nu."""
-        key = (theta, dt)
-        sys_ = self._systems.get(key)
-        if sys_ is None:
-            a = theta * self.nu * dt
-            ab = np.zeros((2, self.mvec.size))
-            ab[0, 1:] = a * self.k_off
-            ab[1] = self.mvec + a * self.k_diag
+    def _factor(self, a):
+        """Banded Cholesky factor of M + a K, a = theta nu dt.
+
+        Each distinct block is factored once and its factor rows are gathered
+        onto the rows it serves.  The coupling entries between blocks are zero
+        and factor to zero, so this is the factor of the whole stacked matrix
+        bit for bit.
+        """
+        fac = self._factors.get(a)
+        if fac is None:
+            mvec, k_diag, k_off = self._blocks
+            ab = np.zeros((2, mvec.size))
+            ab[0, 1:] = a * k_off
+            ab[1] = mvec + a * k_diag
             try:
                 fac = cholesky_banded(ab, lower=False)
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise SolverFailure("implicit system is not positive definite") from exc
-            sys_ = self._systems[key] = (fac, (1.0 - theta) * self.nu * dt)
-        return sys_
+            if fac.shape[1] < self.mvec.size:  # some rows share a block
+                blocks = fac.reshape(2, -1, self.w.size - 1)
+                # Fortran order, which cho_solve_banded takes without a copy
+                fac = np.asfortranarray(blocks[:, self.block].reshape(2, -1))
+            self._factors[a] = fac
+        return fac
 
     def _apply_k(self, u):
         out = self.k_diag * u
@@ -191,9 +210,9 @@ class PackedStepper:
         return out
 
     def _advance(self, u, theta, dt, source=None, trace_fix=None):
-        fac, explicit = self._system(theta, dt)
+        fac = self._factor(theta * self.nu * dt)
         rhs = self._apply_k(u)
-        rhs *= -explicit
+        rhs *= -((1.0 - theta) * self.nu * dt)
         rhs += self.mvec * u  # M u - (1 - theta) dt nu K u
         if trace_fix is not None:
             rhs += trace_fix

@@ -47,6 +47,21 @@ def _power_table(r, orders):
     return rk
 
 
+def _sign_tables(grid):
+    """(-1)^j at the nodes, and the free direction (-1)^j r_0/r_j of an
+    order-1 row with its fourth difference and that difference's squared
+    norm; memoized on the grid."""
+    return grid.memo(("(-1)**j",), _build_sign_tables, grid.nodes)
+
+
+def _build_sign_tables(r):
+    v = np.where(np.arange(r.size) % 2 == 0, 1.0, -1.0)
+    vi = v * (r[0] / r)
+    d4v = np.diff(vi, 4)
+    v.flags.writeable = vi.flags.writeable = d4v.flags.writeable = False
+    return v, vi, d4v, np.dot(d4v, d4v)
+
+
 def _stack(grid, values, orders, name):
     """values as a float stack of rows and orders as a tuple of ints."""
     values = np.asarray(values, dtype=float)
@@ -79,31 +94,23 @@ def z_transform(grid, profiles, orders, z1=None):
     """
     profiles, orders = _stack(grid, profiles, orders, "z_transform")
     rk = _powers(grid, orders)
-    n = grid.n_points
-    alt = np.where(np.arange(n - 1) % 2 == 0, 1.0, -1.0)
+    v, vi, d4v, d4v_sq = _sign_tables(grid)  # v = (-1)^j, the free direction of g
     c = np.diff(rk * profiles)
     c *= 2.0
     c /= grid.spacings
-    c *= alt
-    signs = -alt  # (-1)^j for j = 1 .. n-1
+    c *= v[:-1]
     z = np.empty(profiles.shape)
     z[:, 0] = 0.0
     np.cumsum(c, axis=-1, out=z[:, 1:])
-    z[:, 1:] *= -signs
+    z[:, 1:] *= v[:-1]  # (-1)^(j-1) for j = 1 .. n-1
     z /= rk
-    v = np.empty(n)  # (-1)^j, the free direction of g
-    v[0] = 1.0
-    v[1:] = signs
     if z1 is not None:
         z1 = np.asarray(z1, dtype=float).reshape(len(orders), 1)
         z += (z1 * rk[:, :1]) * (v / rk)
         return z
     for i, k in enumerate(orders):
         if k == 1:
-            vi = v * (rk[i, 0] / rk[i])
-            d4v = np.diff(vi, 4)
-            s = -float(np.dot(np.diff(z[i], 4), d4v) / np.dot(d4v, d4v))
-            z[i] += s * vi
+            z[i] += -float(np.dot(np.diff(z[i], 4), d4v) / d4v_sq) * vi
     return z
 
 

@@ -12,6 +12,13 @@ from diskflow.analysis import expected_exponent
 from diskflow.presets import preset_names
 
 
+def test_check_bounds_match_the_verdicts():
+    # the CLI's checks and the acceptance verdicts share their bounds
+    from test_acceptance import VERDICT_BOUNDS
+
+    assert cli.CHECK_BOUNDS == VERDICT_BOUNDS
+
+
 def test_list_presets(capsys):
     assert cli.main(["list-presets"]) == 0
     out = capsys.readouterr().out

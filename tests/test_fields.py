@@ -290,6 +290,42 @@ def test_leray_properties_on_production_grid(params):
         assert math.sqrt(F.inner_l2(diff, diff, params)) <= 1e-10 * math.sqrt(F.inner_l2(d, d, params))
 
 
+def test_leray_idempotent_self_adjoint_property(params):
+    # over random grids, mode counts, angular resolutions and data, to
+    # roundoff of the unprojected norms
+    hyp = pytest.importorskip("hypothesis")
+    hst = hyp.strategies
+
+    @hyp.settings(max_examples=25, deadline=None, database=None)
+    @hyp.given(
+        n_points=hst.integers(16, 1024),
+        r_max=hst.floats(2.5, 300.0),
+        stretch=hst.one_of(hst.just(0.0), hst.floats(0.1, 3.0)),
+        K=hst.integers(1, 7),
+        extra_angles=hst.integers(0, 8),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def check(n_points, r_max, stretch, K, extra_angles, seed):
+        grid = build_grid(n_points, r_max, stretch)
+        nth = 2 * K + 2 + extra_angles
+        rng = np.random.default_rng(seed)
+        fa, (ella, oma) = random_polar_field(grid, rng, nth, K)
+        fb, (ellb, omb) = random_polar_field(grid, rng, nth, K)
+        pa = F.project_leray(fa, params, K, ella, oma)
+        pb = F.project_leray(fb, params, K, ellb, omb)
+        ra, rb = F.reconstruct(pa, nth), F.reconstruct(pb, nth)
+        na = math.sqrt(polar_inner(fa, fa, params, (ella, oma), (ella, oma)))
+        nb = math.sqrt(polar_inner(fb, fb, params, (ellb, omb), (ellb, omb)))
+        lhs = polar_inner(ra, fb, params, (pa.rigid.ell, pa.rigid.omega), (ellb, omb))
+        rhs = polar_inner(fa, rb, params, (ella, oma), (pb.rigid.ell, pb.rigid.omega))
+        assert abs(lhs - rhs) <= 1e-10 * na * nb
+        paa = F.project_leray(ra, params, K, pa.rigid.ell, pa.rigid.omega)
+        diff = F.decomp_axpy(1.0, paa, -1.0, pa)
+        assert math.sqrt(F.inner_l2(diff, diff, params)) <= 1e-10 * na
+
+    check()
+
+
 def test_project_leray_one_solve_per_mode(grid, params, monkeypatch):
     calls = []
     inner = F.cho_solve_banded
