@@ -6,16 +6,21 @@ Subcommands:
     list-presets                 show the shipped presets
     print-expected <kind> <p> <q>   closed-form decay exponent lookup
 
-Every output file starts with a comment header embedding the fully resolved
-configuration, and all numbers are written in full double precision, so
-identical configs produce byte-identical outputs.  The exit status is 0 on
-success, 2 when a requested acceptance-style check fails, and 1 on errors.
+Each experiment kind is one entry of _EXPERIMENTS: its runner and the
+build_setup keys the runner reads.  A runner takes (cfg, setup) and returns
+its output files (name -> (header, rows)), its summary lines and its checks;
+`run` alone writes them, each file and summary.txt under a comment header
+embedding the fully resolved configuration.  All numbers are written in full
+double precision, so identical configs produce byte-identical outputs.  The
+exit status is 0 on success, 2 when an enabled acceptance-style check fails
+([checks] enabled, default true), and 1 on errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import sys
@@ -34,16 +39,6 @@ from .stokes import (
     evolve_stokes,
     init_stokes,
 )
-
-# every experiment kind with the build_setup keys its runner reads
-_EXPERIMENTS = {
-    "mode-heat": ("scalar_state",),
-    "evolve-stokes": ("state",),
-    "evolve-ns": ("state", "ns_config"),
-    "kato": ("state", "ns_config"),
-    "fit-decay": (),
-    "compare-asymptotic": ("state",),
-}
 
 # every config section with the keys it accepts; any other section or key is
 # an error.  The numeric keys of the sections in _OVERRIDES are merged over
@@ -130,6 +125,19 @@ def _config_float(cfg, section, key, default=None):
     return val
 
 
+def _config_bool(cfg, section, key, default):
+    """cfg[section][key] as one of configparser's boolean words, in any case
+    (default when absent)."""
+    raw = cfg.get(section, {}).get(key)
+    if raw is None:
+        return default
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ConfigError(f"{section}.{key} = {raw!r} is not one of "
+                          "1/yes/true/on or 0/no/false/off") from None
+
+
 def _setup_from_config(cfg):
     exp = cfg["experiment"]
     overrides = {
@@ -155,11 +163,14 @@ def _setup_from_config(cfg):
         setup["decomp0"] = decomp
         setup["state"] = init_stokes(decomp, setup["params"])
     kind = exp["kind"]
-    if not all(key in setup for key in _EXPERIMENTS[kind]):
+    if not all(key in setup for key in _EXPERIMENTS[kind][1]):
         raise ConfigError(
             f"experiment.kind = {kind!r} cannot run preset {preset_name!r}, "
             f"which is set up for {preset.experiment}"
         )
+    for key in ("dt", "t_end"):
+        if not float(setup["time"][key]) > 0:
+            raise ConfigError(f"time.{key} = {setup['time'][key]} must be > 0")
     nu = setup["params"].nu
     t_end = float(setup["time"]["t_end"])
     if setup["grid"].r_max < 6.0 * math.sqrt(nu * t_end):
@@ -174,25 +185,17 @@ def _setup_from_config(cfg):
 def _norm_list(cfg):
     raw = cfg.get("norms", {}).get("p", "2, 4, inf")
     try:
-        return tuple(float(tok) for tok in raw.split(","))
+        p_list = tuple(float(tok) for tok in raw.split(","))
     except ValueError:
-        raise ConfigError(f"norms.p = {raw!r} is not a list of numbers") from None
+        p_list = (math.nan,)
+    if not all(p >= 1 for p in p_list):
+        raise ConfigError(f"norms.p = {raw!r} is not a list of exponents p >= 1 (or inf)")
+    return p_list
 
 
-def _out_dir(cfg):
-    d = cfg.get("output", {}).get("dir", ".")
-    os.makedirs(d, exist_ok=True)
-    return d
-
-
-def _write_summary(path, cfg, lines, checks):
-    with open(path, "w") as fh:
-        for line in _resolved_comment(cfg).splitlines():
-            fh.write(f"# {line}\n")
-        for line in lines:
-            fh.write(line + "\n")
-        for name, ok, detail in checks:
-            fh.write(f"check {name}: {'pass' if ok else 'FAIL'} ({detail})\n")
+def _check(name, value, label):
+    """Check triple of value against CHECK_BOUNDS[name], reported as 'label value'."""
+    return name, value <= CHECK_BOUNDS[name], f"{label} {value:.3e}"
 
 
 def _observe_times(time_cfg):
@@ -203,17 +206,13 @@ def _observe_times(time_cfg):
     return np.unique(np.concatenate([[0.0], times, [t_end]]))
 
 
-def run_mode_heat(cfg, setup, out_dir, do_checks):
+def run_mode_heat(cfg, setup):
     params = setup["scalar_params"]
-    state = setup["scalar_state"]
-    p_list = _norm_list(cfg)
-    rec = dynbc.TimeSeriesRecorder(params, p_list, with_mass=params.k == 0)
-    times = _observe_times(setup["time"])
+    rec = dynbc.TimeSeriesRecorder(params, _norm_list(cfg), with_mass=params.k == 0)
     final = dynbc.evolve(
-        state, params, float(setup["time"]["t_end"]), float(setup["time"]["dt"]),
-        observer=rec, observe_times=times,
+        setup["scalar_state"], params, float(setup["time"]["t_end"]),
+        float(setup["time"]["dt"]), observer=rec, observe_times=_observe_times(setup["time"]),
     )
-    rec.write(os.path.join(out_dir, "time_series.txt"), _resolved_comment(cfg))
     lines = [f"final t = {final.t:.17e}", f"final ell = {final.ell:.17e}"]
     checks = []
     if params.k == 0:
@@ -225,15 +224,9 @@ def run_mode_heat(cfg, setup, out_dir, do_checks):
         lines.append(f"mass drift = {drift:.3e}")
         ratio = 4.0 * math.pi * params.nu * final.t * final.ell / m0
         lines.append(f"self_similar_ratio 4*pi*nu*t*ell/M = {ratio:.10f}")
-        if do_checks:
-            checks.append(("mass-conservation", drift <= CHECK_BOUNDS["mass-conservation"],
-                           f"drift {drift:.3e}"))
-            checks.append(
-                ("self-similar-boundary", abs(ratio - 1.0) <= CHECK_BOUNDS["self-similar-boundary"],
-                 f"|ratio-1| = {abs(ratio - 1):.3e}")
-            )
-    _write_summary(os.path.join(out_dir, "summary.txt"), cfg, lines, checks)
-    return all(ok for _, ok, _ in checks)
+        checks = [_check("mass-conservation", drift, "drift"),
+                  _check("self-similar-boundary", abs(ratio - 1.0), "|ratio-1| =")]
+    return {"time_series.txt": (rec.header, rec.rows)}, lines, checks
 
 
 # The translation law 8 pi nu t ell -> M holds for data of finite fluid
@@ -245,7 +238,7 @@ def run_mode_heat(cfg, setup, out_dir, do_checks):
 _FINITE_MOMENTUM_TAIL = 0.1
 
 
-def run_stokes(cfg, setup, out_dir, do_checks, compare_asymptotic=False):
+def run_stokes(cfg, setup, compare_asymptotic=False):
     if compare_asymptotic and float(setup["time"]["t_end"]) < 10.0:
         raise ConfigError(
             "compare-asymptotic compares the profile error at t = 10 with t_end; "
@@ -254,15 +247,12 @@ def run_stokes(cfg, setup, out_dir, do_checks, compare_asymptotic=False):
     params = setup["params"]
     state = setup["state"]
     mom = asymptotic_momenta(state)
-    p_list = _norm_list(cfg)
     M_vec = mom.M_vec if float(np.hypot(*mom.M_vec)) > 0 else None
-    rec = StokesRecorder(params, p_list, M_vec=M_vec, profile_ps=(2.0, 4.0))
-    times = _observe_times(setup["time"])
+    rec = StokesRecorder(params, _norm_list(cfg), M_vec=M_vec, profile_ps=(2.0, 4.0))
     final = evolve_stokes(
         state, float(setup["time"]["t_end"]), float(setup["time"]["dt"]),
-        observer=rec, observe_times=times,
+        observer=rec, observe_times=_observe_times(setup["time"]),
     )
-    rec.write(os.path.join(out_dir, "stokes_series.txt"), _resolved_comment(cfg))
     lines = [f"final t = {final.t:.17e}",
              f"momentum = {mom.M_vec[0]:.17e} {mom.M_vec[1]:.17e}",
              f"mass_phi = {mom.M_phi:.17e}", f"mass_psi = {mom.M_psi:.17e}"]
@@ -275,31 +265,22 @@ def run_stokes(cfg, setup, out_dir, do_checks, compare_asymptotic=False):
             i, axis = (1, "y") if abs(mom.M_vec[1]) > abs(mom.M_vec[0]) else (0, "x")
             ratio = 8.0 * math.pi * params.nu * final.t * final.rigid.ell[i] / mom.M_vec[i]
             lines.append(f"translation_ratio 8*pi*nu*t*ell_{axis}/M{axis} = {ratio:.10f}")
-            if do_checks:
-                ok = abs(ratio - 1.0) <= CHECK_BOUNDS["disk-translation"]
-                checks.append(("disk-translation", ok, f"|ratio-1| = {abs(ratio - 1):.3e}"))
+            checks.append(_check("disk-translation", abs(ratio - 1.0), "|ratio-1| ="))
         if compare_asymptotic:
             t_arr = np.asarray(rec.column("t"))
             e_arr = np.sqrt(t_arr) * np.asarray(rec.column("profile_err_L2"))
-            i10 = int(np.argmin(np.abs(t_arr - 10.0)))
-            i_end = len(t_arr) - 1
-            lines.append(f"profile_e10 = {e_arr[i10]:.17e}")
-            lines.append(f"profile_eT = {e_arr[i_end]:.17e}")
-            if do_checks:
-                checks.append(
-                    (
-                        "profile-convergence",
-                        e_arr[i_end] <= CHECK_BOUNDS["profile-convergence"] * e_arr[i10],
-                        f"e(T)/e(10) = {e_arr[i_end] / e_arr[i10]:.3f}",
-                    )
-                )
+            e10, eT = e_arr[int(np.argmin(np.abs(t_arr - 10.0)))], e_arr[-1]
+            lines.append(f"profile_e10 = {e10:.17e}")
+            lines.append(f"profile_eT = {eT:.17e}")
+            ok = eT <= CHECK_BOUNDS["profile-convergence"] * e10
+            with np.errstate(divide="ignore", invalid="ignore"):  # the ratio is only reported
+                checks.append(("profile-convergence", ok, f"e(T)/e(10) = {eT / e10:.3f}"))
     amr = np.nanmax(np.abs(np.asarray(rec.column("added_mass_resid"))))
     lines.append(f"max_added_mass_residual = {amr:.3e}")
-    _write_summary(os.path.join(out_dir, "summary.txt"), cfg, lines, checks)
-    return all(ok for _, ok, _ in checks)
+    return {"stokes_series.txt": (rec.header, rec.rows)}, lines, checks
 
 
-def run_ns(cfg, setup, out_dir, do_checks):
+def run_ns(cfg, setup):
     params = setup["params"]
     shadow = init_stokes(setup["decomp0"], params)
     p_list = _norm_list(cfg)
@@ -323,14 +304,10 @@ def run_ns(cfg, setup, out_dir, do_checks):
         float(setup["time"]["dt"]), observer=rec,
         observe_times=_observe_times(setup["time"]), linear_shadow=shadow,
     )
-    rec.write(os.path.join(out_dir, "ns_series.txt"), _resolved_comment(cfg))
-    lines = [f"rows = {len(rec.rows)}"]
-    checks = []
-    _write_summary(os.path.join(out_dir, "summary.txt"), cfg, lines, checks)
-    return True
+    return {"ns_series.txt": (rec.header, rec.rows)}, [f"rows = {len(rec.rows)}"], []
 
 
-def run_kato(cfg, setup, out_dir, do_checks):
+def run_kato(cfg, setup):
     params = setup["params"]
     ns_cfg = setup["ns_config"]
     t_end = float(setup["time"]["t_end"])
@@ -339,8 +316,6 @@ def run_kato(cfg, setup, out_dir, do_checks):
     ratios = [math.nan, *diag.contraction_ratios]
     rows = [(str(n), gn, ratios[n] if n < len(ratios) else math.nan)
             for n, gn in enumerate(diag.G_n)]
-    dynbc.write_columns(os.path.join(out_dir, "kato_diagnostics.txt"), ("n", "G_n", "ratio"),
-                        rows, _resolved_comment(cfg))
     # cross-validate against the IMEX stepper
     final, _ = evolve_ns(init_stokes(setup["decomp0"], params), ns_cfg, t_end, dt)
     d = decomp_axpy(1.0, final.decomp, -1.0, states[-1].decomp)
@@ -351,28 +326,21 @@ def run_kato(cfg, setup, out_dir, do_checks):
         f"mu0_estimate = {diag.mu0_estimate:.17e}",
         f"imex_discrepancy_L2 = {disc:.17e}",
     ]
-    checks = []
-    if do_checks:
-        ok_contract = bool(diag.contraction_ratios) and all(
-            rr < 1.0 for rr in diag.contraction_ratios
-        )
-        checks.append(
-            ("kato-contraction", ok_contract, f"ratios {['%.2e' % rr for rr in diag.contraction_ratios]}")
-        )
-        checks.append(("kato-imex-cross", disc <= CHECK_BOUNDS["kato-imex-cross"],
-                       f"discrepancy {disc:.3e}"))
-    _write_summary(os.path.join(out_dir, "summary.txt"), cfg, lines, checks)
-    return all(ok for _, ok, _ in checks)
+    contract = diag.contraction_ratios
+    checks = [("kato-contraction", bool(contract) and all(rr < 1.0 for rr in contract),
+               f"ratios {['%.2e' % rr for rr in contract]}"),
+              _check("kato-imex-cross", disc, "discrepancy")]
+    return {"kato_diagnostics.txt": (("n", "G_n", "ratio"), rows)}, lines, checks
 
 
-def run_fit_decay(cfg, out_dir, do_checks):
+def run_fit_decay(cfg, setup):
     fit_cfg = cfg.get("fit", {})
     src = fit_cfg.get("file")
     if src is None:
         raise ConfigError("[fit] section needs file = <time series path>")
     column = fit_cfg.get("column", "norm_L2")
     window = (_config_float(cfg, "fit", "t_min", 10.0), _config_float(cfg, "fit", "t_max", 100.0))
-    log_corr = fit_cfg.get("log_correction", "false").lower() in ("1", "true", "yes")
+    log_corr = _config_bool(cfg, "fit", "log_correction", False)
     try:
         with open(src) as fh:
             lines = [(i, line) for i, line in enumerate(fh, start=1)
@@ -387,7 +355,6 @@ def run_fit_decay(cfg, out_dir, do_checks):
     if column not in cols:
         raise ConfigError(f"column {column!r} not among {header}")
     fit = fit_decay(cols["t"], np.abs(cols[column]), window, log_corr)
-    expected = fit_cfg.get("expected")
     lines = [
         f"column = {column}",
         f"window = {window[0]} {window[1]}",
@@ -395,16 +362,12 @@ def run_fit_decay(cfg, out_dir, do_checks):
         f"residual = {fit.residual:.3e}",
         f"log_correction = {fit.log_correction}",
     ]
-    checks = []
-    report_rows = []
-    if expected is not None:
+    checks, report_rows = [], []
+    if "expected" in fit_cfg:
         tol = _config_float(cfg, "fit", "tolerance", 0.2)
         exp_val = _config_float(cfg, "fit", "expected")
         ok = abs(fit.exponent - exp_val) <= tol
-        if do_checks:
-            checks.append(
-                ("fitted-exponent", ok, f"fit {fit.exponent:.4f} vs {exp_val:.4f} +- {tol}")
-            )
+        checks.append(("fitted-exponent", ok, f"fit {fit.exponent:.4f} vs {exp_val:.4f} +- {tol}"))
         report_rows.append(
             (
                 cfg["experiment"].get("name", "fit-decay"),
@@ -416,42 +379,40 @@ def run_fit_decay(cfg, out_dir, do_checks):
                 str(ok),
             )
         )
-    dynbc.write_columns(
-        os.path.join(out_dir, "report.txt"),
-        ("experiment", "p", "q", "expected", "fitted", "residual", "pass"),
-        report_rows, _resolved_comment(cfg),
-    )
-    _write_summary(os.path.join(out_dir, "summary.txt"), cfg, lines, checks)
-    return all(ok for _, ok, _ in checks)
+    header = ("experiment", "p", "q", "expected", "fitted", "residual", "pass")
+    return {"report.txt": (header, report_rows)}, lines, checks
+
+
+# every experiment kind: its runner and the build_setup keys the runner reads
+# (None: fit-decay reads its [fit] file and no preset)
+_EXPERIMENTS = {
+    "mode-heat": (run_mode_heat, ("scalar_state",)),
+    "evolve-stokes": (run_stokes, ("state",)),
+    "evolve-ns": (run_ns, ("state", "ns_config")),
+    "kato": (run_kato, ("state", "ns_config")),
+    "fit-decay": (run_fit_decay, None),
+    "compare-asymptotic": (functools.partial(run_stokes, compare_asymptotic=True), ("state",)),
+}
 
 
 def run(config_path):
     """Execute a configured experiment; returns the process exit status."""
     cfg = load_config(config_path)
-    kind = cfg["experiment"]["kind"]
-    out_dir = _out_dir(cfg)
-    do_checks = cfg.get("checks", {}).get("enabled", "true").lower() in (
-        "1",
-        "true",
-        "yes",
-    )
-    if kind == "fit-decay":
-        ok = run_fit_decay(cfg, out_dir, do_checks)
-        return 0 if ok else 2
-    setup = _setup_from_config(cfg)
-    if kind == "mode-heat":
-        ok = run_mode_heat(cfg, setup, out_dir, do_checks)
-    elif kind == "evolve-stokes":
-        ok = run_stokes(cfg, setup, out_dir, do_checks)
-    elif kind == "compare-asymptotic":
-        ok = run_stokes(cfg, setup, out_dir, do_checks, compare_asymptotic=True)
-    elif kind == "evolve-ns":
-        ok = run_ns(cfg, setup, out_dir, do_checks)
-    elif kind == "kato":
-        ok = run_kato(cfg, setup, out_dir, do_checks)
-    else:  # pragma: no cover
-        raise ConfigError(f"unhandled experiment kind {kind!r}")
-    return 0 if ok else 2
+    runner, keys = _EXPERIMENTS[cfg["experiment"]["kind"]]
+    checks_on = _config_bool(cfg, "checks", "enabled", True)
+    out_dir = cfg.get("output", {}).get("dir", ".")
+    os.makedirs(out_dir, exist_ok=True)
+    files, lines, checks = runner(cfg, None if keys is None else _setup_from_config(cfg))
+    comment = _resolved_comment(cfg)
+    for name, (header, rows) in files.items():
+        dynbc.write_columns(os.path.join(out_dir, name), header, rows, comment)
+    checks = checks if checks_on else []
+    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
+        fh.writelines(f"# {line}\n" for line in comment.splitlines())
+        fh.writelines(f"{line}\n" for line in lines)
+        fh.writelines(f"check {name}: {'pass' if ok else 'FAIL'} ({detail})\n"
+                      for name, ok, detail in checks)
+    return 0 if all(ok for _, ok, _ in checks) else 2
 
 
 def main(argv=None):

@@ -307,6 +307,8 @@ def march(state0, step_fn, t_end, dt, observer=None, observe_times=None):
     entries of observe_times not yet passed, which that one call consumes
     all of.  Targets after t_end are never reached.  Returns the final state.
     """
+    if not 0 < dt < math.inf:
+        raise InvalidArgument(f"dt must be finite and > 0, got {dt}")
     if t_end < state0.t:
         raise InvalidArgument("t_end must be >= the current time")
     n_steps = int(round((t_end - state0.t) / dt))
@@ -364,7 +366,7 @@ def lyapunov_functional(state, params, p):
     Nonincreasing along the dynamic evolution for every p >= 1; the ball term
     is dropped for the Dirichlet variant.
     """
-    if p < 1:
+    if not p >= 1:
         raise InvalidArgument("p must be >= 1")
     w = state.grid.quad_weights
     val = 2.0 * math.pi * float(np.sum(w * np.abs(state.y) ** p))

@@ -499,7 +499,9 @@ def fluid_lp_norm(decomp, p, n_theta=None):
 
     For p != 2 the speed is sampled block by block (_sample_blocks), and
     only |V|^2 is formed: |V|^p is its (p/2)-th power and the max norm the
-    square root of its maximum."""
+    square root of its maximum.  p must be >= 1 (or inf)."""
+    if not p >= 1:
+        raise InvalidArgument(f"p must be >= 1, got {p}")
     grid = decomp.grid
     if p == 2:
         w = grid.quad_weights
@@ -539,11 +541,11 @@ def weighted_field_norm(grid, decomp, p, params):
     ( int_fluid |V|^p + (m/pi) int_disk |V|^p )^(1/p), max norm for p = inf."""
     if decomp.grid is not grid:
         raise GridMismatch("decomposition does not live on this grid")
+    fluid = fluid_lp_norm(decomp, p)  # rejects p < 1 before the disk term is formed
     ball = _ball_lp(decomp.rigid.ell, decomp.rigid.omega, p)
     if np.isinf(p):
-        return max(fluid_lp_norm(decomp, p), ball)
-    fluid = fluid_lp_norm(decomp, p) ** p
-    return (fluid + (params.m / math.pi) * ball) ** (1.0 / p)
+        return max(fluid, ball)
+    return (fluid ** p + (params.m / math.pi) * ball) ** (1.0 / p)
 
 
 def added_mass_pairing(decomp, direction=1):

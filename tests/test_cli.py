@@ -462,3 +462,93 @@ def test_bad_count_is_rejected(tmp_path, capsys, preset, kind, section, key, val
     assert cli.main(["run", str(cfg)]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
     assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("dt", "-0.02", "-0.02"),  # marched nowhere: an IndexError on the empty mass column
+    ("dt", "0", "0.0"),  # a ZeroDivisionError in the step count
+    ("t_end", "-1", "-1.0"),  # a math domain error in the truncation warning
+    ("t_end", "0", "0.0"),
+])
+def test_nonpositive_time_is_rejected(tmp_path, capsys, key, value, shown):
+    out = tmp_path / "out"
+    sections = {"experiment": {"kind": "mode-heat"}, "initial_data": {"preset": "unit-kick-k0"},
+                "grid": {"n_points": 128}, "time": {key: value}, "output": {"dir": out}}
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(_cfg_text(sections))
+    assert cli.main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: time.{key} = {shown} must be > 0"
+    assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("value", ["0.5", "-1", "0", "2, nan", "2, -inf", "2, four"])
+def test_norm_exponent_below_one_is_rejected(tmp_path, capsys, value):
+    # p < 1 is no norm: it would run and write a norm_L0.5 column, or die on 1/p
+    out = tmp_path / "out"
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(MODE_HEAT_CFG.format(out=out).replace("p = 1, 2, inf", f"p = {value}"))
+    assert cli.main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: norms.p = {value!r} is not a list of exponents p >= 1 (or inf)")
+    assert not (out / "time_series.txt").exists()
+
+
+@pytest.mark.parametrize("value, checked", [("on", True), ("Yes", True), ("OFF", False), ("0", False)])
+def test_checks_enabled_takes_every_boolean_word(tmp_path, value, checked):
+    # configparser's words in any case; 'on' used to turn every check off
+    out = tmp_path / "out"
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(MODE_HEAT_CFG.format(out=out) + f"[checks]\nenabled = {value}\n")
+    assert cli.main(["run", str(cfg)]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert ("check mass-conservation: pass" in summary) is checked
+    assert ("check " in summary) is checked
+
+
+@pytest.mark.parametrize("section, key", [("checks", "enabled"), ("fit", "log_correction")])
+def test_misspelled_boolean_is_rejected(tmp_path, capsys, section, key):
+    # 'ture' used to mean false: every check off and exit status 0
+    out = tmp_path / "out"
+    sections = {"experiment": {"kind": "fit-decay"},
+                "fit": {"file": tmp_path / "series.txt", "expected": -0.5},
+                "output": {"dir": out}}
+    sections.setdefault(section, {})[key] = "ture"
+    (tmp_path / "series.txt").write_text("t, norm_L2\n10, 1\n100, 0.1\n")
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(_cfg_text(sections))
+    assert cli.main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {section}.{key} = 'ture' is not one of 1/yes/true/on or 0/no/false/off")
+    assert not (out / "summary.txt").exists()
+
+
+def test_fit_log_correction_word(tmp_path):
+    series = tmp_path / "series.txt"
+    t = np.geomspace(1.0, 100.0, 30)
+    series.write_text("t, norm_L2\n" + "".join(f"{ti:.17e}, {ti**-0.5 * math.log(ti + 2):.17e}\n"
+                                               for ti in t))
+    cfg = _fit_cfg(tmp_path, series)
+    cfg.write_text(cfg.read_text().replace("t_min = 1\n", "t_min = 2\nlog_correction = On\n"))
+    assert cli.main(["run", str(cfg)]) == 0
+    assert "log_correction = True" in (tmp_path / "out" / "summary.txt").read_text()
+
+
+def test_failing_check_exits_2_unless_checks_are_disabled(tmp_path):
+    # at t_end = 2 unit-kick-k0 is far from its self-similar profile: the
+    # check fails and the status is 2; with checks disabled the same run
+    # writes the same files without check lines and exits 0
+    statuses, summaries = [], []
+    for enabled in ("true", "false"):
+        out = tmp_path / enabled
+        cfg = tmp_path / f"{enabled}.cfg"
+        cfg.write_text(_cfg_text({
+            "experiment": {"kind": "mode-heat"}, "initial_data": {"preset": "unit-kick-k0"},
+            "grid": {"n_points": 512}, "time": {"t_end": 2},
+            "checks": {"enabled": enabled}, "output": {"dir": out}}))
+        statuses.append(cli.main(["run", str(cfg)]))
+        summaries.append([ln for ln in (out / "summary.txt").read_text().splitlines()
+                          if not ln.startswith("#")])
+    assert statuses == [2, 0]
+    assert "check self-similar-boundary: FAIL" in "\n".join(summaries[0])
+    assert [ln for ln in summaries[0] if not ln.startswith("check ")] == summaries[1]
+

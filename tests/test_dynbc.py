@@ -589,6 +589,10 @@ def test_invalid_steps(grid):
         dynbc.step(s, params, -0.1)
     with pytest.raises(InvalidArgument):
         dynbc.evolve(s, params, 1.0, 0.3)  # not an integer number of steps
+    # a step that is not finite and positive marches nowhere (or divides by 0)
+    for dt in (-0.02, 0.0, math.nan, math.inf):
+        with pytest.raises(InvalidArgument):
+            dynbc.evolve(s, params, 1.0, dt)
 
 
 def test_nonfinite_source_rejected(grid):

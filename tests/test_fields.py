@@ -409,6 +409,16 @@ def test_weighted_norm_equals_plain_lp_when_m_pi(grid):
     assert abs(val - (fluid**p + ball) ** (1.0 / p)) < 1e-12 * val
 
 
+@pytest.mark.parametrize("p", [0.5, 0.0, -1.0, -math.inf, math.nan])
+def test_norms_reject_exponents_below_one(grid, params, p):
+    # p < 1 is no norm (and p = 0 divides by zero in the 1/p power)
+    d = random_decomposition(grid, np.random.default_rng(5), k_max=2)
+    with pytest.raises(InvalidArgument):
+        F.fluid_lp_norm(d, p)
+    with pytest.raises(InvalidArgument):
+        F.weighted_field_norm(grid, d, p, params)
+
+
 BLOCK_EDGES = (F.BLOCK - 1, F.BLOCK + 1, 2 * F.BLOCK + 3)
 
 

@@ -5,14 +5,20 @@ Usage:  python3 tools/compare_outputs.py <rev>
 Exports <rev> with `git archive` into a temporary directory and runs the same
 experiment configs with `python -m diskflow run` there and in the work tree:
 the seven presets, each at its own kind, compare-asymptotic on
-translating-disk, and ns-small-q32 under evolve-stokes (n_points = 512,
-t_end = 4).  The two trees run side by side, one process each; on two cores
-the whole comparison takes about a minute, most of it the ns-small-q32 run.
+translating-disk, ns-small-q32 under evolve-stokes (n_points = 512,
+t_end = 4), kato-small with its checks disabled, unit-kick-k0 at t_end = 2
+(a failing self-similar check, exit status 2) and two fit-decay runs with an
+expected exponent on the unit-kick-k0 series the same tree has just written
+(one passing, one log-corrected and failing).  So every runner, every output
+file and each exit status is covered.  The two trees run side by side, one
+process each; on two cores the whole comparison takes about a minute, most
+of it the ns-small-q32 run.
 
 For each output file it prints "identical", or the largest relative
 difference of its numbers, or the first line that differs in anything but
-numbers.  Comment lines (the resolved config) are set aside.  A differing
-exit status is reported too.  Exits 0 when every file is identical.
+numbers.  Comment lines (the resolved config) are set aside.  Each label's
+exit status is printed too, and a differing one counts as a difference.
+Exits 0 when every file is identical and every exit status equal.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# (label, config body without [output]); each preset at its own kind first
+# (label, config body without [output]); each preset at its own kind first.
+# {out_root} in a body is the output root of the tree that runs it.
 CONFIGS = [
     (preset, f"[experiment]\nkind = {kind}\n[initial_data]\npreset = {preset}\n")
     for preset, kind in (
@@ -42,6 +49,16 @@ CONFIGS = [
      "[initial_data]\npreset = translating-disk\n"),
     ("ns-small-q32-stokes", "[experiment]\nkind = evolve-stokes\n"
      "[initial_data]\npreset = ns-small-q32\n[grid]\nn_points = 512\n[time]\nt_end = 4\n"),
+    ("kato-small-unchecked", "[experiment]\nkind = kato\n[initial_data]\npreset = kato-small\n"
+     "[checks]\nenabled = false\n"),
+    ("unit-kick-k0-t2", "[experiment]\nkind = mode-heat\n[initial_data]\npreset = unit-kick-k0\n"
+     "[time]\nt_end = 2\n"),
+    ("unit-kick-k0-fit", "[experiment]\nkind = fit-decay\nname = unit-kick-k0-fit\n[fit]\n"
+     "file = {out_root}/unit-kick-k0/time_series.txt\ncolumn = norm_p2\nt_min = 10\n"
+     "t_max = 100\nexpected = -0.5\np = 2\n"),
+    ("unit-kick-k0-fit-log", "[experiment]\nkind = fit-decay\n[fit]\n"
+     "file = {out_root}/unit-kick-k0/time_series.txt\ncolumn = norm_pinf\n"
+     "log_correction = yes\nexpected = -1.5\ntolerance = 0.01\n"),
 ]
 
 
@@ -57,7 +74,7 @@ def start(tree, label, body, out_root):
     os.makedirs(out)
     cfg = os.path.join(out_root, f"{label}.cfg")
     with open(cfg, "w") as fh:
-        fh.write(body + f"[output]\ndir = {out}\n")
+        fh.write(body.format(out_root=out_root) + f"[output]\ndir = {out}\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     proc = subprocess.Popen([sys.executable, "-m", "diskflow", "run", cfg], cwd=tree, env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -115,6 +132,8 @@ def main(argv=None):
             if status[0] != status[1]:
                 all_identical = False
                 print(f"{label}: exit status {status[0]} against {status[1]}")
+            else:
+                print(f"{label}: exit status {status[0]} on both")
             for name in sorted(set(os.listdir(da)) | set(os.listdir(db))):
                 fa, fb = os.path.join(da, name), os.path.join(db, name)
                 if not (os.path.exists(fa) and os.path.exists(fb)):
