@@ -62,7 +62,8 @@ def fit_decay(times, values, window, log_correction=False):
     """Least-squares power-law fit of a positive time series.
 
     With log_correction the series is divided by |log t| before fitting.
-    Requires at least 8 samples inside the window.
+    Requires at least 8 samples inside the window, all at t > 0, and none
+    at t = 1 under log_correction.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -76,6 +77,11 @@ def fit_decay(times, values, window, log_correction=False):
         )
     t = times[mask]
     v = values[mask]
+    if np.any(t <= 0):
+        raise InvalidArgument(f"window {window} holds t = {t.min()}, where log t is undefined")
+    if log_correction and np.any(t == 1.0):
+        raise InvalidArgument(f"window {window} holds t = 1, where the log correction "
+                              "divides by log t = 0")
     if np.any(v <= 0):
         raise NonpositiveValues("power-law fit requires positive values")
     y = np.log(v)

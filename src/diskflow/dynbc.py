@@ -19,9 +19,12 @@ appears in the interior conservation sum, which makes the discrete total mass
     M = 2*pi * sum_i w_i y_i + (2*pi/alpha_tilde) * ell          (k = 0)
 
 an exact invariant of every step, up to the far-field leak at r_max and
-linear-solver roundoff.  Time stepping is the theta-method (Crank-Nicolson by
-default) with a configurable number of damped implicit-Euler startup steps to
-smooth rough initial data before the trapezoidal steps take over.
+linear-solver roundoff.  Time stepping is the theta-method, theta in (0, 1]
+(Crank-Nicolson by default), after a configurable number of damped
+implicit-Euler startup steps that smooth rough initial data.  As
+M - (1 - theta) nu dt K = (M - (1 - theta) F) / theta for F = M + theta nu dt K,
+a step is u1 = F^{-1} (M u / theta + dt f) - ((1 - theta) / theta) u: one
+solve with the cached factor of F and no product with the stiff K.
 
 Several scalar systems advance together as one packed system
 (PackedStepper): each row of a stack of profiles is its own block of one
@@ -88,8 +91,8 @@ class DynBCParams:
             raise InvalidArgument("alpha_tilde must be > 0")
         if self.nu <= 0:
             raise InvalidArgument("nu must be > 0")
-        if not 0.0 <= self.theta <= 1.0:
-            raise InvalidArgument("theta must lie in [0, 1]")
+        if not 0.0 < self.theta <= 1.0:
+            raise InvalidArgument("theta must lie in (0, 1]")
         if not isinstance(self.startup_steps, numbers.Integral) or self.startup_steps < 0:
             raise InvalidArgument("startup_steps must be an integer >= 0")
 
@@ -138,8 +141,9 @@ class PackedStepper:
     zero by an identity row.  The rows sit along the diagonal of one SPD
     tridiagonal matrix whose coupling entries at each row edge and next to a
     pinned entry are zero, so they stay exactly decoupled: a (sub)step is one
-    banded Cholesky solve of one column.  All operators share one viscosity,
-    so the factor is cached under the implicit coefficient theta nu dt alone:
+    banded Cholesky solve of one column, between a scaling and, for theta < 1,
+    a subtraction (see above).  All operators share one viscosity, so the
+    factor is cached under the implicit coefficient theta nu dt alone:
     the Rannacher substeps theta = 1, dt/2 of the default two-substep start
     reuse the Crank-Nicolson factor theta = 1/2, dt.
     """
@@ -174,8 +178,6 @@ class PackedStepper:
                 o[0] = -stiff[0]
         self._blocks = (mvec.ravel(), diag.ravel(), off.ravel()[:-1])
         self.mvec = mvec[self.block].ravel()
-        self.k_diag = diag[self.block].ravel()
-        self.k_off = off[self.block].ravel()[:-1]
         self._factors = {}
 
     def _factor(self, a):
@@ -203,24 +205,22 @@ class PackedStepper:
             self._factors[a] = fac
         return fac
 
-    def _apply_k(self, u):
-        out = self.k_diag * u
-        out[:-1] += self.k_off * u[1:]
-        out[1:] += self.k_off * u[:-1]
-        return out
-
     def _advance(self, u, theta, dt, source=None, trace_fix=None):
+        # u1 = F^{-1} (M u / theta + dt f + fix) - ((1 - theta) / theta) u
         fac = self._factor(theta * self.nu * dt)
-        rhs = self._apply_k(u)
-        rhs *= -((1.0 - theta) * self.nu * dt)
-        rhs += self.mvec * u  # M u - (1 - theta) dt nu K u
+        rhs = self.mvec * u
+        if theta != 1.0:
+            rhs *= 1.0 / theta
         if trace_fix is not None:
             rhs += trace_fix
         if source is not None:
             rhs += dt * source
         # the factor is finite by construction and step() rejects a
         # non-finite result, so scipy's input scan is skipped
-        return cho_solve_banded((fac, False), rhs, check_finite=False)
+        out = cho_solve_banded((fac, False), rhs, check_finite=False)
+        if theta != 1.0:
+            out -= ((1.0 - theta) / theta) * u
+        return out
 
     def step(self, z, ell, dt, theta, startup_steps, sources=None, first_step=False):
         """Advance every row of the (rows, n) stack z, whose boundary values

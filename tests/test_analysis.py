@@ -52,6 +52,22 @@ def test_fit_errors():
         DecayFit(-1.0, False, 0.0, (0.5, 10.0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_rejects_a_window_where_the_log_fails():
+    # log t at t = 0, and the log correction's 1/log t at t = 1, used to
+    # warn and give a nan exponent (or a LinAlgError)
+    t = np.linspace(0.0, 100.0, 101)
+    with pytest.raises(InvalidArgument, match=r"window \(0, 100\) holds t = 0.0"):
+        fit_decay(t, (1.0 + t) ** -0.5, (0, 100))
+    t = np.geomspace(1.0, 100.0, 30)
+    with pytest.raises(InvalidArgument, match=r"window \(1, 100\) holds t = 1,"):
+        fit_decay(t, t**-0.5, (1, 100), log_correction=True)
+    # the same windows without the failing log fit as before
+    assert abs(fit_decay(t, t**-0.5, (1, 100)).exponent + 0.5) < 1e-12
+    fit = fit_decay(t, t**-0.5 * np.log(t + 1.0), (1.1, 100), log_correction=True)
+    assert fit.log_correction and np.isfinite(fit.exponent)
+
+
 def test_expected_exponent_table():
     assert float(expected_exponent("semigroup", math.inf, 1.0 + 1e-12)) == pytest.approx(-1.0)
     assert float(expected_exponent("semigroup", 4.0, 2.0)) == pytest.approx(-0.25)

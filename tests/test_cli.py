@@ -522,6 +522,26 @@ def test_misspelled_boolean_is_rejected(tmp_path, capsys, section, key):
     assert not (out / "summary.txt").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t_min, log_correction, message", [
+    (0, "false", "error: window (0.0, 100.0) holds t = 0.0, where log t is undefined"),
+    (1, "true", "error: window (1.0, 100.0) holds t = 1, where the log correction divides"),
+])
+def test_fit_window_where_the_log_fails(tmp_path, capsys, t_min, log_correction, message):
+    # every CLI series starts at t = 0; these windows used to write
+    # exponent = nan and exit 2
+    series = tmp_path / "series.txt"
+    t = np.concatenate(([0.0], np.geomspace(1.0, 100.0, 30)))
+    series.write_text("t, norm_L2\n" + "".join(f"{ti:.17e}, {(1 + ti) ** -0.5:.17e}\n"
+                                               for ti in t))
+    cfg = _fit_cfg(tmp_path, series)
+    cfg.write_text(cfg.read_text().replace(
+        "t_min = 1\n", f"t_min = {t_min}\nlog_correction = {log_correction}\n"))
+    assert cli.main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(message)
+    assert not (tmp_path / "out" / "summary.txt").exists()
+
+
 def test_fit_log_correction_word(tmp_path):
     series = tmp_path / "series.txt"
     t = np.geomspace(1.0, 100.0, 30)

@@ -355,11 +355,21 @@ def test_one_factorization_per_march(monkeypatch, theta, startup_steps, factoriz
     assert set(shapes) == {(2, 5 * (g.n_points - 1))}
 
 
+def _row_bands(stepper):
+    """Mass, stiffness diagonal and stiffness off-diagonal of every row of a
+    stepper's stack, (rows, n - 1) each: its distinct blocks gathered by
+    stepper.block (a row's last off-diagonal entry couples to nothing)."""
+    size = stepper._blocks[0].size
+    return [np.pad(band, (0, size - band.size)).reshape(-1, stepper.w.size - 1)[stepper.block]
+            for band in stepper._blocks]
+
+
 def test_gathered_factor_is_the_stacked_factor(monkeypatch):
-    # operator lists with repeats: the factor each solve receives equals the
-    # banded Cholesky factor of the whole stacked matrix, assembled from the
-    # one-row steppers, and stays in Fortran order so the solve takes it
-    # without a copy
+    # operator lists with repeats: each row's bands, gathered from the
+    # distinct blocks, are the one-row steppers' bands, and the factor each
+    # solve receives equals the banded Cholesky factor of the whole stacked
+    # matrix assembled from them; it stays in Fortran order so the solve
+    # takes it without a copy
     factors = []
     inner = dynbc.cho_solve_banded
 
@@ -380,18 +390,92 @@ def test_gathered_factor_is_the_stacked_factor(monkeypatch):
         z = rng.standard_normal((len(ops), g.n_points))
         stepper.step(z, z[:, 0], dt, theta, 0)
         singles = [dynbc.PackedStepper(g, [p]) for p in ops]
-        mvec = np.concatenate([one.mvec for one in singles])
-        k_diag = np.concatenate([one.k_diag for one in singles])
-        k_off = np.concatenate([np.append(one.k_off, 0.0) for one in singles])[:-1]
-        for got, want in ((stepper.mvec, mvec), (stepper.k_diag, k_diag), (stepper.k_off, k_off)):
+        bands = [np.concatenate(rows) for rows in zip(*map(_row_bands, singles))]
+        for got, want in zip(_row_bands(stepper), bands):
             assert np.array_equal(got, want)
+        mvec, k_diag, k_off = (band.ravel() for band in bands)
+        assert np.array_equal(stepper.mvec, mvec)
         a = theta * nu * dt
         ab = np.zeros((2, mvec.size))
-        ab[0, 1:] = a * k_off
+        ab[0, 1:] = a * k_off[:-1]
         ab[1] = mvec + a * k_diag
         fac = factors.pop()
         assert np.array_equal(fac, cholesky_banded(ab, lower=False))
         assert fac.flags.f_contiguous
+
+
+def test_theta_step_solves_the_scheme_equation():
+    # (M + theta c K) u1 = (M - (1 - theta) c K) u + dt f + fix, c = nu dt,
+    # with M and K assembled from the stepper's blocks, holds to roundoff of
+    # the terms over random grids, row mixes, dt, sources and first steps
+    # with a trace mismatch (one start-up substep is the theta = 1 equation)
+    hyp = pytest.importorskip("hypothesis")
+    hst = hyp.strategies
+
+    @hyp.settings(max_examples=60, deadline=None, database=None)
+    @hyp.given(
+        n_points=hst.integers(16, 2048),
+        r_max=hst.floats(2.5, 300.0),
+        stretch=hst.one_of(hst.just(0.0), hst.floats(0.1, 3.0)),
+        kinds=hst.lists(hst.integers(0, 5), min_size=1, max_size=7),
+        nu=hst.floats(0.2, 2.0),
+        dt=hst.floats(1e-3, 1.0),
+        theta=hst.sampled_from([0.5, 0.75, 1.0]),
+        startup_steps=hst.integers(0, 1),
+        first_step=hst.booleans(),
+        forced=hst.booleans(),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def check(n_points, r_max, stretch, kinds, nu, dt, theta, startup_steps, first_step,
+              forced, seed):
+        g = build_grid(n_points, r_max, stretch)
+        rng = np.random.default_rng(seed)
+        # kind 0, 1: dynamic k = 0, 1; kind 2 .. 5: Dirichlet k = kind - 1
+        ops = [DynBCParams(kind, float(rng.uniform(0.2, 5.0)), nu, "dynamic", theta,
+                           startup_steps) if kind < 2 else
+               DynBCParams(kind - 1, 1.0, nu, "dirichlet", theta, startup_steps)
+               for kind in kinds]
+        dynamic = np.array([kind < 2 for kind in kinds])
+        alpha = np.array([p.alpha_tilde for p in ops])
+        z = rng.standard_normal((len(ops), g.n_points))
+        z[:, -1] = 0.0
+        ell = rng.standard_normal(len(ops))
+        sources = None
+        if forced:
+            sources = (rng.standard_normal((len(ops), g.n_points)), rng.standard_normal(len(ops)))
+        stepper = dynbc.packed_stepper(g, ops)
+        new = stepper.step(z, ell, dt, theta, startup_steps, sources, first_step)
+        if first_step and startup_steps and theta != 1.0:
+            theta = 1.0  # the one implicit-Euler start-up substep
+        w = g.quad_weights[:-1]
+        u = z[:, :-1].copy()
+        u[:, 0] = np.where(dynamic, ell, 0.0)
+        u1 = new[:, :-1]
+        mvec, diag, off = _row_bands(stepper)
+
+        def tridiag(d, o, x):
+            out = d * x
+            out[:, :-1] += o[:, :-1] * x[:, 1:]
+            out[:, 1:] += o[:, :-1] * x[:, :-1]
+            return out
+
+        a, b = theta * nu * dt, (1.0 - theta) * nu * dt
+        terms = [mvec * u1, a * tridiag(diag, off, u1), -mvec * u, b * tridiag(diag, off, u)]
+        # the scale of each term is its product with |M|, |K| and |u|
+        scales = [np.abs(mvec) * (np.abs(u1) + np.abs(u)),
+                  tridiag(np.abs(diag), np.abs(off), a * np.abs(u1) + b * np.abs(u))]
+        if first_step:
+            fix = np.zeros_like(u)
+            fix[:, 0] = np.where(dynamic, w[0] * (z[:, 0] - ell), 0.0)
+            terms.append(-fix)
+        if forced:
+            f = w * sources[0][:, :-1]
+            f[:, 0] = np.where(dynamic, f[:, 0] + sources[1] / alpha, 0.0)
+            terms.append(-dt * f)
+        scale = np.max(sum(scales) + sum(np.abs(t) for t in terms[4:]))
+        assert np.max(np.abs(sum(terms))) <= 1e-13 * scale
+
+    check()
 
 
 def test_k0_mass_invariance_property():
@@ -627,6 +711,11 @@ def test_params_validation():
         DynBCParams(k=0, alpha_tilde=1.0, nu=0.0)
     with pytest.raises(InvalidArgument):
         DynBCParams(k=0, alpha_tilde=1.0, theta=1.5)
+    # the theta step divides by theta; explicit Euler is unstable at every
+    # preset dt anyway
+    for theta in (0.0, -0.5, math.nan):
+        with pytest.raises(InvalidArgument, match="theta"):
+            DynBCParams(k=0, alpha_tilde=1.0, theta=theta)
     with pytest.raises(InvalidArgument):
         DynBCParams(k=0, alpha_tilde=1.0, variant="explicit")
     for startup_steps in (1.5, -1, "2", None):

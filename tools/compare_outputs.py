@@ -14,17 +14,22 @@ file and each exit status is covered.  The two trees run side by side, one
 process each; on two cores the whole comparison takes about a minute, most
 of it the ns-small-q32 run.
 
-For each output file it prints "identical", or the largest relative
-difference of its numbers, or the first line that differs in anything but
-numbers.  Comment lines (the resolved config) are set aside.  Each label's
-exit status is printed too, and a differing one counts as a difference.
+For each output file it prints "identical", or the size of the difference
+of its numbers, or the first line that differs in anything but numbers.
+The size is the largest pointwise relative difference, and the largest
+difference over the largest value of its column, with that column named
+(see compare_file).  Comment lines (the resolved config) are set aside.
+Each label's exit status is printed too, and a differing one counts as a
+difference.
 Exits 0 when every file is identical and every exit status equal.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -87,32 +92,61 @@ def data_lines(path):
 
 
 def tokens(line):
-    return line.replace(",", " ").replace("=", " ").split()
+    """The words of a line, split at whitespace, commas, '=' and brackets, so
+    a number in a check line's '(drift 1.5e-12)' or '['3.4e-02']' stands
+    alone."""
+    return re.sub(r"[,=()\[\]']", " ", line).split()
 
 
 def compare_file(a, b):
-    """'identical', the largest relative difference, or the first line that
-    differs beyond its numbers."""
+    """'identical', or the size of the difference, or the first line that
+    differs beyond its numbers.
+
+    The size is given twice: as the largest pointwise relative difference,
+    and as the largest |a - b| over the largest |a| of its column, with that
+    column named.  The first measure reads O(1) on a column that is roundoff
+    around zero; the second gives the size of a move against what the column
+    holds.  A columnar file's columns are named by its header line; in any
+    other file (summary.txt) the numbers of one line form a column, named by
+    the line's text before its first '=' or ':'.
+    """
     la, lb = data_lines(a), data_lines(b)
     if la == lb:
         return "identical"
     if len(la) != len(lb):
         first = next((x for x, y in zip(la, lb) if x != y), "(none)")
         return f"{len(la)} against {len(lb)} lines, first differing line {first!r}"
+    header = tokens(la[0]) if "," in la[0] and "=" not in la[0] else None
     worst = 0.0
+    diff, scale = {}, {}  # per column: largest |a - b| and largest |a|
     for x, y in zip(la, lb):
         tx, ty = tokens(x), tokens(y)
         if len(tx) != len(ty):
             return f"differs: {x!r} against {y!r}"
-        for u, v in zip(tx, ty):
-            if u == v:
-                continue
+        for j, (u, v) in enumerate(zip(tx, ty)):
             try:
                 fu, fv = float(u), float(v)
             except ValueError:
+                if u == v:
+                    continue
                 return f"differs: {x!r} against {y!r}"
-            worst = max(worst, abs(fu - fv) / max(abs(fu), abs(fv)))
-    return f"largest relative difference {worst:.3e}"
+            if header is not None and len(tx) == len(header):
+                column = header[j]
+            else:
+                column = re.split("[=:]", x)[0].strip()
+            scale[column] = max(scale.get(column, 0.0), abs(fu))
+            diff[column] = max(diff.get(column, 0.0), abs(fu - fv))
+            if fu != fv:
+                worst = max(worst, abs(fu - fv) / max(abs(fu), abs(fv)))
+
+    def size(c):
+        return diff[c] / scale[c] if scale[c] else math.inf if diff[c] else 0.0
+
+    column = max(diff, key=size, default=None)
+    if column is None:
+        return f"differs in spacing only: {la[0]!r}"
+    return (f"largest relative difference {worst:.3e}; of the column scale {size(column):.3e}, "
+            f"in {column} (scale {scale[column]:.3e})")
 
 
 def main(argv=None):
