@@ -30,7 +30,13 @@ import numpy as np
 from . import dynbc
 from .analysis import expected_exponent, fit_decay
 from .errors import ConfigError, DiskflowError
-from .fields import _floats, decomp_axpy, load_field_file, weighted_field_norm
+from .fields import (
+    _floats,
+    decomp_axpy,
+    load_field_file,
+    weighted_field_norm,
+    weighted_field_norms,
+)
 from .navier_stokes import evolve_ns, kato_solve
 from .presets import build_setup, get_preset, preset_names
 from .stokes import (
@@ -190,6 +196,10 @@ def _norm_list(cfg):
         p_list = (math.nan,)
     if not all(p >= 1 for p in p_list):
         raise ConfigError(f"norms.p = {raw!r} is not a list of exponents p >= 1 (or inf)")
+    names = [dynbc.fmt_p(p) for p in p_list]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"norms.p = {raw!r} repeats the exponent(s) {', '.join(repeated)}")
     return p_list
 
 
@@ -294,8 +304,8 @@ def run_ns(cfg, setup):
         d = decomp_axpy(1.0, st.decomp, -1.0, sh.decomp)
         return (
             [st.t, st.rigid.ell[0], st.rigid.ell[1], st.rigid.omega]
-            + [weighted_field_norm(st.grid, st.decomp, p, params) for p in p_list]
-            + [weighted_field_norm(st.grid, d, p, params) for p in (2.0, 4.0)]
+            + weighted_field_norms(st.grid, st.decomp, p_list, params)
+            + weighted_field_norms(st.grid, d, (2.0, 4.0), params)
         )
 
     rec = dynbc.Recorder(header, row)

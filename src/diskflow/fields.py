@@ -52,7 +52,9 @@ __all__ = [
     "kirchhoff_test_field",
     "inner_l2",
     "weighted_field_norm",
+    "weighted_field_norms",
     "fluid_lp_norm",
+    "fluid_lp_norms",
     "added_mass_pairing",
     "save_field_file",
     "load_field_file",
@@ -87,13 +89,17 @@ class ModeDecomposition:
     profiles[k-1] holds the pair (psi_k, phi_k) of harmonic k, cos channel
     first; k_max = len(profiles) >= 1 is the largest retained harmonic.
     psi and phi (mode 1) and higher (modes 2..k_max) are read-only views of
-    it.  Instances are immutable snapshots.
+    it.  Instances are immutable snapshots, so what is derived from them is
+    kept on them, out of eq and repr: the radial derivatives of the profile
+    stack (_stream_profiles) and the fluid L^p norms (fluid_lp_norms).
     """
 
     grid: RadialGrid
     w: np.ndarray
     profiles: np.ndarray
     rigid: RigidState
+    _dprof: np.ndarray | None = dc_field(default=None, init=False, compare=False, repr=False)
+    _norms: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.grid.n_points
@@ -189,12 +195,16 @@ def _coeffs(samples, k_max):
 
 
 def _stream_profiles(decomp):
-    """The profile stack and its radial derivatives (one stacked ddr), both
-    viewed as (channel, mode, node); channel 0 is the cos (psi) channel,
-    channel 1 the sin (phi) one."""
+    """The profile stack and its radial derivatives (one stacked ddr on the
+    first call, kept read-only on the decomposition), both viewed as
+    (channel, mode, node); channel 0 is the cos (psi) channel, channel 1
+    the sin (phi) one."""
     prof = decomp.profiles
-    dprof = decomp.grid.ddr(prof.reshape(-1, prof.shape[-1]).T).T.reshape(prof.shape)
-    return prof.transpose(1, 0, 2), dprof.transpose(1, 0, 2)
+    if decomp._dprof is None:
+        dprof = decomp.grid.ddr(prof.reshape(-1, prof.shape[-1]).T).T.reshape(prof.shape)
+        dprof.flags.writeable = False
+        object.__setattr__(decomp, "_dprof", dprof)
+    return prof.transpose(1, 0, 2), decomp._dprof.transpose(1, 0, 2)
 
 
 def velocity_coeffs(decomp):
@@ -495,57 +505,105 @@ def _ball_lp(ell, omega, p):
 
 
 def fluid_lp_norm(decomp, p, n_theta=None):
-    """L^p norm of the reconstructed field over the fluid annulus only.
+    """L^p norm of the reconstructed field over the fluid annulus only
+    (fluid_lp_norms of the one exponent p)."""
+    return fluid_lp_norms(decomp, (p,), n_theta)[0]
 
-    For p != 2 the speed is sampled block by block (_sample_blocks), and
-    only |V|^2 is formed: |V|^p is its (p/2)-th power and the max norm the
-    square root of its maximum.  p must be >= 1 (or inf)."""
-    if not p >= 1:
-        raise InvalidArgument(f"p must be >= 1, got {p}")
-    grid = decomp.grid
-    if p == 2:
-        w = grid.quad_weights
-        k = np.arange(1, decomp.k_max + 1)[:, None]
-        prof, dprof = _stream_profiles(decomp)
-        prof = prof * (k / grid.nodes)
-        energy = (dprof * dprof + prof * prof) @ w
-        return math.sqrt(2.0 * math.pi * float(np.sum(w * decomp.w**2))
-                         + math.pi * float(np.sum(energy)))
-    if n_theta is None:
-        p_eff = 4 if np.isinf(p) else max(2, int(math.ceil(p)))
-        n_theta = 16
-        while n_theta < p_eff * (decomp.k_max + 1) + 4:
-            n_theta *= 2
-        n_theta = min(n_theta, 512)
-    else:
+
+def fluid_lp_norms(decomp, ps, n_theta=None):
+    """fluid_lp_norm of the field for each exponent of ps, in order (repeats
+    included); every p must be >= 1 (or inf).
+
+    p = 2 is exact per mode and needs no angles.  Any other p samples the
+    speed on n_theta angles (by default the fewest powers of two that
+    resolve |V|^p, at most 512) block by block (_sample_blocks), and only
+    |V|^2 is formed: |V|^p is its (p/2)-th power and the max norm the square
+    root of its maximum.  The exponents of one resolution share one
+    synthesis, each block's |V|^2 feeding all of them.  Norms are kept on
+    the decomposition, keyed by (p, n_theta), p = 2 by p alone."""
+    ps = tuple(ps)
+    for p in ps:
+        if not p >= 1:
+            raise InvalidArgument(f"p must be >= 1, got {p}")
+    if n_theta is not None and any(p != 2 for p in ps):
         _check_resolution(n_theta, decomp.k_max)
-    w = grid.quad_weights
-    acc = np.zeros(n_theta)
+    memo = decomp._norms
+    keys = [(p, None if p == 2 else n_theta or _lp_n_theta(p, decomp.k_max)) for p in ps]
+    missing = {}  # n_theta -> the exponents != 2 it still needs
+    for p, nt in dict.fromkeys(keys):
+        if (p, nt) in memo:
+            continue
+        if p == 2:
+            memo[p, nt] = _fluid_l2(decomp)
+        else:
+            missing.setdefault(nt, []).append(p)
+    for nt, group in missing.items():
+        memo.update(((p, nt), val) for p, val in zip(group, _fluid_lp_group(decomp, group, nt)))
+    return [memo[key] for key in keys]
+
+
+def _lp_n_theta(p, k_max):
+    """Default angles of an L^p norm: a power of two from 16 past
+    p_eff (k_max + 1) + 4 (p_eff = max(2, ceil p), 4 for inf), at most 512."""
+    p_eff = 4 if np.isinf(p) else max(2, int(math.ceil(p)))
+    n_theta = 16
+    while n_theta < p_eff * (k_max + 1) + 4:
+        n_theta *= 2
+    return min(n_theta, 512)
+
+
+def _fluid_l2(decomp):
+    w = decomp.grid.quad_weights
+    k = np.arange(1, decomp.k_max + 1)[:, None]
+    prof, dprof = _stream_profiles(decomp)
+    prof = prof * (k / decomp.grid.nodes)
+    energy = (dprof * dprof + prof * prof) @ w
+    return math.sqrt(2.0 * math.pi * float(np.sum(w * decomp.w**2))
+                     + math.pi * float(np.sum(energy)))
+
+
+def _fluid_lp_group(decomp, ps, n_theta):
+    """The fluid L^p norms of distinct exponents ps != 2 from one blocked
+    synthesis on n_theta angles, in the order of ps."""
+    w = decomp.grid.quad_weights
+    acc = [None if np.isinf(p) else np.zeros(n_theta) for p in ps]
     peak = 0.0
     for lo, v in _sample_blocks(velocity_coeffs(decomp), n_theta):
         np.square(v, out=v)
         sq = v[0]
         sq += v[1]
-        if np.isinf(p):
-            peak = np.maximum(peak, sq.max())  # keeps a NaN
-        else:
-            acc += sq ** (p / 2.0) @ w[lo:lo + BLOCK]
-    if np.isinf(p):
-        return math.sqrt(peak)
-    integ = float(np.sum(acc) * (2.0 * math.pi / n_theta))
-    return integ ** (1.0 / p)
+        for p, a in zip(ps, acc):
+            if a is None:
+                peak = np.maximum(peak, sq.max())  # keeps a NaN
+            else:
+                a += sq ** (p / 2.0) @ w[lo:lo + BLOCK]
+    return [math.sqrt(peak) if a is None
+            else float(np.sum(a) * (2.0 * math.pi / n_theta)) ** (1.0 / p)
+            for p, a in zip(ps, acc)]
 
 
 def weighted_field_norm(grid, decomp, p, params):
     """Field norm with the disk weighted by m/pi:
-    ( int_fluid |V|^p + (m/pi) int_disk |V|^p )^(1/p), max norm for p = inf."""
+    ( int_fluid |V|^p + (m/pi) int_disk |V|^p )^(1/p), max norm for p = inf
+    (weighted_field_norms of the one exponent p)."""
+    return weighted_field_norms(grid, decomp, (p,), params)[0]
+
+
+def weighted_field_norms(grid, decomp, ps, params):
+    """weighted_field_norm for each exponent of ps, in order (repeats
+    included), the fluid parts from one fluid_lp_norms call."""
     if decomp.grid is not grid:
         raise GridMismatch("decomposition does not live on this grid")
-    fluid = fluid_lp_norm(decomp, p)  # rejects p < 1 before the disk term is formed
-    ball = _ball_lp(decomp.rigid.ell, decomp.rigid.omega, p)
-    if np.isinf(p):
-        return max(fluid, ball)
-    return (fluid ** p + (params.m / math.pi) * ball) ** (1.0 / p)
+    ps = tuple(ps)
+    fluids = fluid_lp_norms(decomp, ps)  # rejects p < 1 before a disk term is formed
+    out = []
+    for p, fluid in zip(ps, fluids):
+        ball = _ball_lp(decomp.rigid.ell, decomp.rigid.omega, p)
+        if np.isinf(p):
+            out.append(max(fluid, ball))
+        else:
+            out.append((fluid ** p + (params.m / math.pi) * ball) ** (1.0 / p))
+    return out
 
 
 def added_mass_pairing(decomp, direction=1):

@@ -33,8 +33,9 @@ from .fields import (
     _trace_rigid,
     added_mass_pairing,
     decomp_axpy,
-    fluid_lp_norm,
+    fluid_lp_norms,
     weighted_field_norm,
+    weighted_field_norms,
 )
 from .grid import PhysicalParams, RadialGrid
 
@@ -66,7 +67,7 @@ class StokesState:
     ScalarModeState views of the rows.  The decomposition is derived from
     the z variables on first read and kept, so transform/inversion
     consistency holds whenever it is read; a march that reads only the stack
-    never inverts.  The L2 field norm is kept the same way."""
+    never inverts.  Its norms are kept on the decomposition."""
 
     grid: RadialGrid
     z: np.ndarray
@@ -74,7 +75,6 @@ class StokesState:
     t: float
     params: PhysicalParams
     _decomp: ModeDecomposition | None = field(default=None, compare=False, repr=False)
-    _l2_norm: float | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.ell) % 2 == 0 or self.z.shape != (len(self.ell), self.grid.n_points):
@@ -103,10 +103,7 @@ class StokesState:
     @property
     def l2_norm(self):
         """weighted_field_norm of the field at p = 2."""
-        if self._l2_norm is None:
-            n = weighted_field_norm(self.grid, self.decomp, 2.0, self.params)
-            object.__setattr__(self, "_l2_norm", n)
-        return self._l2_norm
+        return weighted_field_norm(self.grid, self.decomp, 2.0, self.params)
 
     @property
     def rigid(self):
@@ -328,12 +325,12 @@ class StokesRecorder(dynbc.Recorder):
             if M_vec is not None and state.t > 0:
                 ref = lamb_oseen_profile(state.grid, state.t, params.nu, M_vec)
                 diff = decomp_axpy(1.0, d, -1.0, ref)
-                profile_err = [fluid_lp_norm(diff, p) for p in profile_ps]
+                profile_err = fluid_lp_norms(diff, profile_ps)
             mom = asymptotic_momenta(state)
             resid = added_mass_pairing(d, 1) + math.pi * d.rigid.ell[0]
             return [
                 state.t, *d.rigid.ell, d.rigid.omega,
-                *(weighted_field_norm(state.grid, d, p, params) for p in p_values),
+                *weighted_field_norms(state.grid, d, p_values, params),
                 *profile_err, mom.M_phi, mom.M_psi, resid,
             ]
 

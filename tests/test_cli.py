@@ -493,6 +493,18 @@ def test_norm_exponent_below_one_is_rejected(tmp_path, capsys, value):
     assert not (out / "time_series.txt").exists()
 
 
+@pytest.mark.parametrize("value, shown", [("2, 2.0", "2"), ("inf, 4, INF, 4.0", "4, inf")])
+def test_repeated_norm_exponent_is_rejected(tmp_path, capsys, value, shown):
+    # one column name twice: fit-decay's column lookup would read the first
+    out = tmp_path / "out"
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(MODE_HEAT_CFG.format(out=out).replace("p = 1, 2, inf", f"p = {value}"))
+    assert cli.main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: norms.p = {value!r} repeats the exponent(s) {shown}")
+    assert not (out / "time_series.txt").exists()
+
+
 @pytest.mark.parametrize("value, checked", [("on", True), ("Yes", True), ("OFF", False), ("0", False)])
 def test_checks_enabled_takes_every_boolean_word(tmp_path, value, checked):
     # configparser's words in any case; 'on' used to turn every check off
@@ -572,3 +584,36 @@ def test_failing_check_exits_2_unless_checks_are_disabled(tmp_path):
     assert "check self-similar-boundary: FAIL" in "\n".join(summaries[0])
     assert [ln for ln in summaries[0] if not ln.startswith("check ")] == summaries[1]
 
+
+
+@pytest.mark.parametrize("p, passes", [("2, 4, inf", [32, 32]), ("1, 4, 8, inf", [16, 32, 32, 64])])
+def test_ns_row_synthesises_once_per_resolution(tmp_path, monkeypatch, p, passes):
+    # one evolve-ns row takes its norms of the state and of the distance to
+    # the linear flow with one blocked synthesis per decomposition and
+    # angular resolution: 4 and inf share 32 angles at k_max = 4, 1 takes
+    # 16 and 8 takes 64, and the distance's 4 takes 32
+    from diskflow import fields
+
+    counts, rows = [], []
+    sample_blocks, evolve_ns = fields._sample_blocks, cli.evolve_ns
+
+    def counted(coeffs, n_theta):
+        counts.append(n_theta)
+        return sample_blocks(coeffs, n_theta)
+
+    def observed(*args, observer, **kwargs):
+        def row(st, sh):
+            start = len(counts)
+            observer(st, sh)
+            rows.append(sorted(counts[start:]))
+        return evolve_ns(*args, observer=row, **kwargs)
+
+    monkeypatch.setattr(fields, "_sample_blocks", counted)
+    monkeypatch.setattr(cli, "evolve_ns", observed)
+    sections = {"experiment": {"kind": "evolve-ns"}, "initial_data": {"preset": "ns-small-q32"},
+                "grid": {"n_points": 256, "r_max": 20.0}, "time": {"dt": 0.05, "t_end": 0.1},
+                "norms": {"p": p}, "output": {"dir": tmp_path / "out"}}
+    cfg = tmp_path / "ns.cfg"
+    cfg.write_text(_cfg_text(sections))
+    assert cli.main(["run", str(cfg)]) == 0
+    assert len(rows) == 2 and all(r == passes for r in rows), rows

@@ -439,6 +439,57 @@ def test_fluid_lp_norm_block_edges(n, p):
         assert abs(F.fluid_lp_norm(d, p, n_theta) - ref) <= 1e-13 * ref, n_theta
 
 
+def test_plural_norms_equal_one_p_norms_property(params):
+    # fluid_lp_norms/weighted_field_norms against one one-p call per
+    # exponent, bit for bit; every call gets a freshly built decomposition,
+    # so no memo is shared between them
+    hyp = pytest.importorskip("hypothesis")
+    hst = hyp.strategies
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(
+        n=hst.sampled_from(BLOCK_EDGES),
+        k_max=hst.integers(1, 4),
+        seed=hst.integers(0, 2**32 - 1),
+        ps=hst.lists(hst.sampled_from([1, 2.0, 3.0, 4, 8.0, math.inf]), min_size=1, max_size=6),
+        n_theta=hst.sampled_from([None, 16, 64]),
+    )
+    def check(n, k_max, seed, ps, n_theta):
+        g = build_grid(n, 20.0, 1.5)
+        ps = ps + ps[:1]  # a repeat in every list
+
+        def fresh():
+            return random_decomposition(g, np.random.default_rng(seed), k_max)
+
+        assert F.fluid_lp_norms(fresh(), ps, n_theta) == [
+            F.fluid_lp_norm(fresh(), p, n_theta) for p in ps]
+        want = [F.weighted_field_norm(g, fresh(), p, params) for p in ps]
+        d = fresh()
+        assert F.weighted_field_norms(g, d, ps, params) == want
+        assert F.weighted_field_norms(g, d, ps[::-1], params) == want[::-1]  # from the memo
+
+    check()
+
+
+def test_norm_memo_is_per_decomposition(grid, params):
+    # equal profiles, different disk data: equal fluid norms, different
+    # weighted ones; the memo is keyed by angular resolution too, and stays
+    # out of eq and repr
+    rng = np.random.default_rng(11)
+    d = random_decomposition(grid, rng, k_max=3)
+    e = F.ModeDecomposition(grid, d.w, d.profiles, F.RigidState(d.rigid.ell + 100.0, d.rigid.omega))
+    ps = (2.0, 4.0, math.inf)
+    assert F.fluid_lp_norms(d, ps) == F.fluid_lp_norms(e, ps)
+    for a, b in zip(F.weighted_field_norms(grid, d, ps, params),
+                    F.weighted_field_norms(grid, e, ps, params)):
+        assert a != b
+    coarse = F.fluid_lp_norm(d, 8.0, 16)  # |V|^8 has modes up to 24: 16 angles alias
+    assert coarse != F.fluid_lp_norm(d, 8.0, 64)
+    assert coarse == F.fluid_lp_norm(random_decomposition(grid, np.random.default_rng(11), 3), 8.0, 16)
+    assert not d._dprof.flags.writeable
+    assert "_norms" not in repr(d) and "_dprof" not in repr(d)
+
+
 @pytest.mark.parametrize("p", [4.0, math.inf, 8.0])
 def test_weighted_norm_memory_peak(params, p):
     # full (2, n_theta, n) planes at n = 4096 take 2 MB at n_theta = 32 and

@@ -23,7 +23,7 @@ from diskflow.fields import (
     weighted_field_norm,
     zero_decomposition,
 )
-from diskflow.grid import PhysicalParams, build_grid
+from diskflow.grid import PhysicalParams, RadialGrid, build_grid
 from diskflow.presets import build_setup, get_preset
 
 
@@ -243,6 +243,33 @@ def test_cfl_guard(grid, params):
     assert final.t == 0.99 * limit
 
 
+def test_cfl_guard_during_the_run(grid, params, monkeypatch):
+    # the velocity grows to twice the advective bound partway through the
+    # run; the guard, re-run every CFL_CHECK_STEPS steps, stops the run at
+    # its next check and names that time
+    cfg = ns.NonlinearConfig(k_max=2, n_theta=16)
+    st = stokes.init_stokes(mode1_bump(grid, 1e-2), params)
+    dt = 0.05
+    limit = 0.5 * float(grid.spacings.min()) / dt
+    grow_at = ns.CFL_CHECK_STEPS - 10
+    inner = ns.step_ns
+    seen = []
+
+    def growing(state, config, dt, prev_nonlinear=None, first_step=False):
+        new, nl = inner(state, config, dt, prev_nonlinear, first_step)
+        seen.append(new.t)
+        if len(seen) == grow_at:
+            f = 2.0 * limit / fields.fluid_lp_norm(new.decomp, np.inf, cfg.n_theta)
+            new = stokes.StokesState(grid, f * new.z, f * new.ell, new.t, params)
+        return new, nl
+
+    monkeypatch.setattr(ns, "step_ns", growing)
+    with pytest.raises(InvalidArgument, match="advective guard") as info:
+        ns.evolve_ns(st, cfg, (ns.CFL_CHECK_STEPS + 5) * dt, dt)
+    assert len(seen) == ns.CFL_CHECK_STEPS
+    assert str(info.value).endswith(f"at t = {seen[-1]}")
+
+
 def test_step_ns_observed_order():
     # AB2 with an implicit linear block is second order; a first-order
     # extrapolation (weights (1, 0)) reads about 1.56 and 1.30 here
@@ -362,21 +389,41 @@ def test_evolve_ns_rejects_shadow_at_other_time(grid, params):
 
 
 def test_step_ns_reuses_guard_norm(grid, params, monkeypatch):
-    # each state's L2 norm is computed once: the guard's n_old is the
-    # previous step's n_new, so n steps take n + 1 norms
+    # each state's fluid L2 norm is computed once and kept on its
+    # decomposition: the guard's n_old is the previous step's n_new, so n
+    # steps take n + 1 norms, one per decomposition
     calls = []
-    inner = stokes.weighted_field_norm
+    inner = fields._fluid_l2
 
-    def counted(*args):
-        calls.append(args[2])
-        return inner(*args)
+    def counted(decomp):
+        calls.append(decomp)
+        return inner(decomp)
 
-    monkeypatch.setattr(stokes, "weighted_field_norm", counted)
+    monkeypatch.setattr(fields, "_fluid_l2", counted)
     cfg = ns.NonlinearConfig(k_max=2, n_theta=16)
     st = stokes.init_stokes(mode1_bump(grid, 1e-2), params)
     final, _ = ns.evolve_ns(st, cfg, 0.25, 0.05)
-    assert calls == [2.0] * 6
+    assert len(calls) == 6 and len({id(d) for d in calls}) == 6
     assert final.l2_norm == weighted_field_norm(grid, final.decomp, 2.0, params)
+
+
+def test_steady_step_ns_derives_the_profiles_once(grid, params, monkeypatch):
+    # a step after the first: the convection term reuses the derivative
+    # stack the previous step's blow-up guard took, so one ddr for the
+    # velocity derivatives and one for the new state's L2 norm
+    cfg = ns.NonlinearConfig(k_max=2, n_theta=16)
+    st = stokes.init_stokes(mode1_bump(grid, 1e-2), params)
+    st1, nl = ns.step_ns(st, cfg, 0.05, first_step=True)
+    calls = []
+    inner = RadialGrid.ddr
+
+    def counted(self, f):
+        calls.append(np.shape(f))
+        return inner(self, f)
+
+    monkeypatch.setattr(RadialGrid, "ddr", counted)
+    ns.step_ns(st1, cfg, 0.05, nl)
+    assert len(calls) == 2, calls
 
 
 def test_kato_solve_rejects_past_end(grid, params):

@@ -17,8 +17,10 @@ of it the ns-small-q32 run.
 For each output file it prints "identical", or the size of the difference
 of its numbers, or the first line that differs in anything but numbers.
 The size is the largest pointwise relative difference, and the largest
-difference over the largest value of its column, with that column named
-(see compare_file).  Comment lines (the resolved config) are set aside.
+difference over the largest value of its column, with that column named,
+among the columns above roundoff; the roundoff columns follow with their
+absolute differences (see compare_file).  Comment lines (the resolved
+config) are set aside.
 Each label's exit status is printed too, and a differing one counts as a
 difference.
 Exits 0 when every file is identical and every exit status equal.
@@ -35,6 +37,10 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# a column whose largest |a| is below this fraction of the largest |a| of its
+# file is roundoff around zero (an omega of 4e-22 beside velocities of 1e-2)
+ROUNDOFF = 1e-12
 
 # (label, config body without [output]); each preset at its own kind first.
 # {out_root} in a body is the output root of the tree that runs it.
@@ -106,9 +112,11 @@ def compare_file(a, b):
     and as the largest |a - b| over the largest |a| of its column, with that
     column named.  The first measure reads O(1) on a column that is roundoff
     around zero; the second gives the size of a move against what the column
-    holds.  A columnar file's columns are named by its header line; in any
-    other file (summary.txt) the numbers of one line form a column, named by
-    the line's text before its first '=' or ':'.
+    holds.  It names the worst column among those whose largest |a| is at
+    least ROUNDOFF of the file's largest; the columns below that follow by
+    name with their largest |a - b|.  A columnar file's columns are named by
+    its header line; in any other file (summary.txt) the numbers of one line
+    form a column, named by the line's text before its first '=' or ':'.
     """
     la, lb = data_lines(a), data_lines(b)
     if la == lb:
@@ -142,11 +150,16 @@ def compare_file(a, b):
     def size(c):
         return diff[c] / scale[c] if scale[c] else math.inf if diff[c] else 0.0
 
-    column = max(diff, key=size, default=None)
+    top = max(scale.values(), default=0.0)
+    roundoff = [c for c in diff if scale[c] < ROUNDOFF * top]
+    column = max((c for c in diff if c not in roundoff), key=size, default=None)
     if column is None:
         return f"differs in spacing only: {la[0]!r}"
-    return (f"largest relative difference {worst:.3e}; of the column scale {size(column):.3e}, "
+    text = (f"largest relative difference {worst:.3e}; of the column scale {size(column):.3e}, "
             f"in {column} (scale {scale[column]:.3e})")
+    if roundoff:
+        text += "; roundoff columns, absolute: " + ", ".join(f"{c} {diff[c]:.3e}" for c in roundoff)
+    return text
 
 
 def main(argv=None):
