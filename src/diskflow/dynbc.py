@@ -28,8 +28,8 @@ solve with the cached factor of F and no product with the stiff K.
 
 Several scalar systems advance together as one packed system
 (PackedStepper): each row of a stack of profiles is its own block of one
-banded matrix, and every (sub)step is one banded Cholesky solve.  A single
-system (step) is the one-row case.
+SPD tridiagonal matrix, and every (sub)step is one solve with its L D L^T
+factor (LAPACK dpttrf/dpttrs).  A single system (step) is the one-row case.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import InvalidArgument, NonpositiveTime, SolverFailure, UnsupportedVariant
 from .grid import RadialGrid
@@ -132,6 +132,22 @@ class ScalarModeState:
         return state
 
 
+# perfbench/tracer.py times the dynbc layer by wrapping these two names
+def cholesky_banded(diag, off):
+    """L D L^T factor (d, e) of the tridiagonal matrix with diagonal diag and
+    off-diagonal off (LAPACK dpttrf, which overwrites both)."""
+    d, e, info = dpttrf(diag, off, overwrite_d=True, overwrite_e=True)
+    if info != 0:
+        raise SolverFailure("implicit system is not positive definite")
+    return d, e
+
+
+def cho_solve_banded(fac, rhs):
+    """Solution x of F x = rhs for the factor fac = (d, e) of F
+    (LAPACK dpttrs, which overwrites rhs)."""
+    return dpttrs(*fac, rhs, overwrite_b=True)[0]
+
+
 class PackedStepper:
     """Theta-method system of several scalar rows, solved as one.
 
@@ -141,7 +157,7 @@ class PackedStepper:
     zero by an identity row.  The rows sit along the diagonal of one SPD
     tridiagonal matrix whose coupling entries at each row edge and next to a
     pinned entry are zero, so they stay exactly decoupled: a (sub)step is one
-    banded Cholesky solve of one column, between a scaling and, for theta < 1,
+    L D L^T tridiagonal solve, between a scaling and, for theta < 1,
     a subtraction (see above).  All operators share one viscosity, so the
     factor is cached under the implicit coefficient theta nu dt alone:
     the Rannacher substeps theta = 1, dt/2 of the default two-substep start
@@ -181,28 +197,22 @@ class PackedStepper:
         self._factors = {}
 
     def _factor(self, a):
-        """Banded Cholesky factor of M + a K, a = theta nu dt.
+        """L D L^T factor (d, e) of M + a K, a = theta nu dt.
 
-        Each distinct block is factored once and its factor rows are gathered
-        onto the rows it serves.  The coupling entries between blocks are zero
-        and factor to zero, so this is the factor of the whole stacked matrix
-        bit for bit.
+        Each distinct block is factored once and its d and e are gathered
+        onto the rows it serves.  The coupling entries between blocks are
+        zero, so they factor to e = 0 and leave the next d unchanged: this is
+        the factor of the whole stacked matrix bit for bit.
         """
         fac = self._factors.get(a)
         if fac is None:
             mvec, k_diag, k_off = self._blocks
-            ab = np.zeros((2, mvec.size))
-            ab[0, 1:] = a * k_off
-            ab[1] = mvec + a * k_diag
-            try:
-                fac = cholesky_banded(ab, lower=False)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise SolverFailure("implicit system is not positive definite") from exc
-            if fac.shape[1] < self.mvec.size:  # some rows share a block
-                blocks = fac.reshape(2, -1, self.w.size - 1)
-                # Fortran order, which cho_solve_banded takes without a copy
-                fac = np.asfortranarray(blocks[:, self.block].reshape(2, -1))
-            self._factors[a] = fac
+            d, e = cholesky_banded(mvec + a * k_diag, a * k_off)
+            if d.size < self.mvec.size:  # some rows share a block
+                rows = (-1, self.w.size - 1)
+                d = d.reshape(rows)[self.block].ravel()
+                e = np.append(e, 0.0).reshape(rows)[self.block].ravel()[:-1]
+            fac = self._factors[a] = (d, e)
         return fac
 
     def _advance(self, u, theta, dt, source=None, trace_fix=None):
@@ -215,9 +225,7 @@ class PackedStepper:
             rhs += trace_fix
         if source is not None:
             rhs += dt * source
-        # the factor is finite by construction and step() rejects a
-        # non-finite result, so scipy's input scan is skipped
-        out = cho_solve_banded((fac, False), rhs, check_finite=False)
+        out = cho_solve_banded(fac, rhs)  # in place of the fresh rhs
         if theta != 1.0:
             out -= ((1.0 - theta) / theta) * u
         return out

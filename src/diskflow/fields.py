@@ -453,18 +453,13 @@ def inner_l2(a, b, params):
     for rigid data."""
     if a.grid is not b.grid:
         raise GridMismatch("decompositions live on different grids")
-    grid = a.grid
-    w = grid.quad_weights
-    r = grid.nodes
+    w, r = a.grid.quad_weights, a.grid.nodes
     total = 2.0 * math.pi * float(np.sum(w * a.w * b.w))
-
-    def pair(k, pa, pb):
-        return float(
-            np.sum(w * (grid.ddr(pa) * grid.ddr(pb) + (k * k) * pa * pb / (r * r)))
-        )
-
-    for k, (pa, pb) in enumerate(zip(a.profiles, b.profiles), start=1):
-        total += math.pi * (pair(k, pa[0], pb[0]) + pair(k, pa[1], pb[1]))
+    K = min(a.k_max, b.k_max)  # modes beyond the shorter one pair with zero
+    (pa, da), (pb, db) = (_stream_profiles(d) for d in (a, b))
+    kk = np.arange(1, K + 1)[:, None] ** 2
+    fluid = da[:, :K] * db[:, :K] + kk * pa[:, :K] * pb[:, :K] / (r * r)
+    total += math.pi * float(np.sum(w * fluid))
     mball = params.m
     total += mball * float(np.dot(a.rigid.ell, b.rigid.ell))
     total += 0.5 * mball * a.rigid.omega * b.rigid.omega

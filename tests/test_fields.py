@@ -15,7 +15,7 @@ from diskflow.errors import (
     NotDivergenceFree,
     SolverFailure,
 )
-from diskflow.grid import PhysicalParams, build_grid
+from diskflow.grid import PhysicalParams, RadialGrid, build_grid
 
 
 @pytest.fixture(scope="module")
@@ -488,6 +488,45 @@ def test_norm_memo_is_per_decomposition(grid, params):
     assert coarse == F.fluid_lp_norm(random_decomposition(grid, np.random.default_rng(11), 3), 8.0, 16)
     assert not d._dprof.flags.writeable
     assert "_norms" not in repr(d) and "_dprof" not in repr(d)
+
+
+def test_inner_l2_reads_the_kept_derivative_stack(grid, params, monkeypatch):
+    # one stacked ddr per fresh decomposition and none once its stack is
+    # kept; the values are the per-mode single-profile formula's to roundoff
+    # (a stacked ddr is not bitwise the single-profile one), and the modes
+    # past the shorter stack add nothing
+    rng = np.random.default_rng(29)
+    a = random_decomposition(grid, rng, k_max=4)
+    b = random_decomposition(grid, rng, k_max=2)
+    w, r = grid.quad_weights, grid.nodes
+
+    def per_profile(x, y):
+        total = 2.0 * math.pi * float(np.sum(w * x.w * y.w))
+        for k, (px, py) in enumerate(zip(x.profiles, y.profiles), start=1):
+            for c in range(2):
+                terms = grid.ddr(px[c]) * grid.ddr(py[c]) + k * k * px[c] * py[c] / (r * r)
+                total += math.pi * float(np.sum(w * terms))
+        m = params.m
+        return total + m * float(np.dot(x.rigid.ell, y.rigid.ell)) + 0.5 * m * x.rigid.omega * y.rigid.omega
+
+    pairs = [(a, a), (a, b), (b, a), (b, b)]
+    want = [per_profile(x, y) for x, y in pairs]
+    calls = []
+    inner = RadialGrid.ddr
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(RadialGrid, "ddr", counted)
+    got = []
+    for (x, y), fresh in zip(pairs, [1, 1, 0, 0]):
+        before = len(calls)
+        got.append(F.inner_l2(x, y, params))
+        assert len(calls) - before == fresh
+    scale = max(want[0], want[3])  # |<x, y>| <= max(|x|^2, |y|^2)
+    for g_xy, w_xy in zip(got, want):
+        assert abs(g_xy - w_xy) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("p", [4.0, math.inf, 8.0])
