@@ -29,7 +29,9 @@ solve with the cached factor of F and no product with the stiff K.
 Several scalar systems advance together as one packed system
 (PackedStepper): each row of a stack of profiles is its own block of one
 SPD tridiagonal matrix, and every (sub)step is one solve with its L D L^T
-factor (LAPACK dpttrf/dpttrs).  A single system (step) is the one-row case.
+factor (LAPACK dpttrf/dpttrs).  A row with zero data, a zero boundary value
+and no forcing stays exactly zero, so only the other (live) rows are
+solved.  A single system (step) is the one-row case.
 """
 
 from __future__ import annotations
@@ -195,6 +197,7 @@ class PackedStepper:
         self._blocks = (mvec.ravel(), diag.ravel(), off.ravel()[:-1])
         self.mvec = mvec[self.block].ravel()
         self._factors = {}
+        self._row_systems = {}
 
     def _factor(self, a):
         """L D L^T factor (d, e) of M + a K, a = theta nu dt.
@@ -207,20 +210,37 @@ class PackedStepper:
         fac = self._factors.get(a)
         if fac is None:
             mvec, k_diag, k_off = self._blocks
-            d, e = cholesky_banded(mvec + a * k_diag, a * k_off)
-            if d.size < self.mvec.size:  # some rows share a block
-                rows = (-1, self.w.size - 1)
-                d = d.reshape(rows)[self.block].ravel()
-                e = np.append(e, 0.0).reshape(rows)[self.block].ravel()[:-1]
-            fac = self._factors[a] = (d, e)
+            fac = cholesky_banded(mvec + a * k_diag, a * k_off)
+            if fac[0].size < self.mvec.size:  # some rows share a block
+                fac = _gather_rows(fac, self.block, self.w.size - 1)
+            self._factors[a] = fac
         return fac
 
-    def _advance(self, u, theta, dt, source=None, trace_fix=None):
+    def _system(self, a, rows):
+        """Lumped mass and L D L^T factor of M + a K on the rows `rows`: every
+        row (slice(None)), or an index array whose mass and factor are
+        gathered from the whole stack's and cached per (a, rows)."""
+        if isinstance(rows, slice):
+            return self.mvec, self._factor(a)
+        key = (a, rows.tobytes())
+        system = self._row_systems.get(key)
+        if system is None:
+            width = self.w.size - 1
+            system = self._row_systems[key] = (
+                self.mvec.reshape(-1, width)[rows].ravel(),
+                _gather_rows(self._factor(a), rows, width))
+        return system
+
+    def _advance(self, u, theta, dt, rows, source=None, trace_fix=None):
         # u1 = F^{-1} (M u / theta + dt f + fix) - ((1 - theta) / theta) u
-        fac = self._factor(theta * self.nu * dt)
-        rhs = self.mvec * u
+        mvec, fac = self._system(theta * self.nu * dt, rows)
+        rhs = mvec * u
         if theta != 1.0:
             rhs *= 1.0 / theta
+        elif trace_fix is None and source is None:
+            # -0.0 to +0.0, as the trace fix, the forcing or the theta < 1
+            # subtraction does otherwise: a zero row solves to +0.0 always
+            rhs += 0.0
         if trace_fix is not None:
             rhs += trace_fix
         if source is not None:
@@ -230,6 +250,26 @@ class PackedStepper:
             out -= ((1.0 - theta) / theta) * u
         return out
 
+    def _live_rows(self, z, ell, sources):
+        """The rows a step must solve: slice(None) for every row, else the
+        sorted index array of the live ones (possibly empty).
+
+        A row with a zero boundary value, no forcing and a zero profile
+        (-0.0 counts as zero) stays exactly +0.0 under a step.  A row with a
+        nonzero boundary value, or one the sources cover, is live: when every
+        row is, nothing is scanned; otherwise the whole stack is scanned at
+        once, which costs less than gathering the rows still in doubt.  A
+        one-row stack (step) is solved as it is: only a zero state could be
+        skipped, and the test would cost every scalar step.
+        """
+        forced = 0 if sources is None else len(sources[0])
+        if len(z) == 1 or forced >= len(z) or np.count_nonzero(ell) == len(ell):
+            return slice(None)
+        live = ell != 0
+        live[:forced] = True
+        live |= z.any(axis=1)
+        return slice(None) if np.count_nonzero(live) == len(live) else np.flatnonzero(live)
+
     def step(self, z, ell, dt, theta, startup_steps, sources=None, first_step=False):
         """Advance every row of the (rows, n) stack z, whose boundary values
         are ell, by one step of length dt.
@@ -237,14 +277,22 @@ class PackedStepper:
         sources, if given, is a (fluid stack, boundary values) pair: its rows
         beyond z's are ignored and z's rows beyond it stay unforced.
         first_step=True runs startup_steps implicit-Euler substeps instead of
-        one theta step.  Returns the new read-only stack; its first column
-        holds the new boundary values.
+        one theta step.  Only the live rows (_live_rows) are solved; the
+        others come back as +0.0, as a solve of every row gives them.
+        Returns the new read-only stack; its first column holds the new
+        boundary values.
         """
-        if dt <= 0:
-            raise InvalidArgument("dt must be > 0")
+        if not 0.0 < dt < math.inf:
+            raise InvalidArgument(f"dt must be finite and > 0, got {dt}")
+        out = np.zeros(z.shape)
+        rows = self._live_rows(z, ell, sources)
+        if not isinstance(rows, slice) and not rows.size:
+            out.flags.writeable = False
+            return out
         w = self.w
-        u = np.array(z[:, :-1], dtype=float)
-        u[:, 0] = np.where(self.dynamic, ell, 0.0)
+        dynamic = self.dynamic[rows]
+        u = np.array(z[rows, :-1], dtype=float)
+        u[:, 0] = np.where(dynamic, ell[rows], 0.0)
         fix = None
         if first_step:
             # An initial trace mismatch y[0] != ell is allowed; the packed
@@ -252,30 +300,41 @@ class PackedStepper:
             # true mass w_0*y[0] + ell/alpha before the implicit step smooths
             # the jump.
             fix = np.zeros_like(u)
-            fix[:, 0] = np.where(self.dynamic, w[0] * (z[:, 0] - ell), 0.0)
+            fix[:, 0] = np.where(dynamic, w[0] * (z[rows, 0] - ell[rows]), 0.0)
             fix = fix.ravel()
         forcing = None
         if sources is not None:
+            # the forced rows 0 .. forced-1 are live, so they lead the live rows
             fluid, ell_src = sources
-            rows = min(len(fluid), len(u))
+            forced = min(len(fluid), len(z))
             forcing = np.zeros_like(u)
-            forcing[:rows] = w[:-1] * fluid[:rows, :-1]
-            edge = forcing[:rows, 0] + ell_src[:rows] / self.alpha[:rows]
-            forcing[:rows, 0] = np.where(self.dynamic[:rows], edge, 0.0)
+            forcing[:forced] = w[:-1] * fluid[:forced, :-1]
+            edge = forcing[:forced, 0] + ell_src[:forced] / self.alpha[:forced]
+            forcing[:forced, 0] = np.where(self.dynamic[:forced], edge, 0.0)
             forcing = forcing.ravel()
         shape = u.shape
         u = u.ravel()
         if first_step and startup_steps > 0 and theta != 1.0:
             for i in range(startup_steps):
-                u = self._advance(u, 1.0, dt / startup_steps, forcing, fix if i == 0 else None)
+                u = self._advance(u, 1.0, dt / startup_steps, rows, forcing,
+                                  fix if i == 0 else None)
         else:
-            u = self._advance(u, theta, dt, forcing, fix)
+            u = self._advance(u, theta, dt, rows, forcing, fix)
         if not np.all(np.isfinite(u)):
             raise SolverFailure("non-finite values after implicit step")
-        out = np.zeros((shape[0], shape[1] + 1))
-        out[:, :-1] = u.reshape(shape)
+        out[rows, :-1] = u.reshape(shape)
         out.flags.writeable = False
         return out
+
+
+def _gather_rows(fac, rows, width):
+    """The L D L^T factor of the rows `rows` of a stack factored as
+    fac = (d, e), width unknowns per row: d's rows, and e's rows with the
+    zero that ends each row (a zero coupling factors to e = 0 and leaves the
+    next d unchanged, so this is the factor of the gathered rows' matrix)."""
+    d, e = fac
+    return (d.reshape(-1, width)[rows].ravel(),
+            np.append(e, 0.0).reshape(-1, width)[rows].ravel()[:-1])
 
 
 def packed_stepper(grid, ops):

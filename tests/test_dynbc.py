@@ -1,5 +1,6 @@
 """Scalar dynamic-boundary heat solver: conservation, decay, oracles."""
 
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import replace
@@ -286,9 +287,30 @@ def _random_row_params(rng, nu, theta, startup_steps):
     return DynBCParams(max(k, 1), 1.0, nu, "dirichlet", theta, startup_steps)
 
 
+def _zero_rows(rng, z, ell):
+    """Zero the profiles of some rows of the stack (z, ell) in place, about
+    half of them as -0.0.  Two in three get a zero trace too, which leaves
+    them at +0.0 under a step; the others are kicks of the boundary value."""
+    for i in np.flatnonzero(rng.random(len(z)) < 0.5):
+        z[i] = zero = rng.choice([0.0, -0.0])
+        if rng.random() < 2.0 / 3.0:
+            ell[i] = zero
+
+
+def _step_every_row(stepper, *args):
+    """stepper.step(*args) with every row solved: the full-stack reference
+    of the step that solves the live rows only."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepper, "_live_rows", lambda z, ell, sources: slice(None))
+        return stepper.step(*args)
+
+
 def test_packed_stepper_matches_dense_rows():
-    # random theta, startup substeps, operators and sources: every row of one
-    # packed solve, and the one-row dynbc.step, against a dense solve per row
+    # random theta, startup substeps, operators, zero rows and sources: every
+    # row of one packed solve, and the one-row dynbc.step, against a dense
+    # solve per row; and at theta = 0.5, 0.75, 1 and the random one, with and
+    # without the sources and a first step, the whole stack bit for bit
+    # against a solve of every row
     rng = np.random.default_rng(2025)
     for _ in range(24):
         g = build_grid(int(rng.integers(16, 120)), float(rng.uniform(2.5, 40.0)),
@@ -300,11 +322,17 @@ def test_packed_stepper_matches_dense_rows():
         z = rng.standard_normal((len(ops), g.n_points))
         z[:, -1] = 0.0
         ell = rng.standard_normal(len(ops))
+        _zero_rows(rng, z, ell)
         sources = None
         if rng.integers(2):  # with one row too few or too many
             rows = len(ops) + int(rng.integers(-1, 2))
             sources = (rng.standard_normal((rows, g.n_points)), rng.standard_normal(rows))
-        new = dynbc.packed_stepper(g, ops).step(z, ell, dt, theta, startup, sources, first_step)
+        stepper = dynbc.packed_stepper(g, ops)
+        for args in itertools.product((0.5, 0.75, 1.0, theta), (startup,), (None, sources),
+                                      (False, True)):
+            got = stepper.step(z, ell, dt, *args)
+            assert got.tobytes() == _step_every_row(stepper, z, ell, dt, *args).tobytes()
+        new = stepper.step(z, ell, dt, theta, startup, sources, first_step)
         assert new.shape == z.shape and not new.flags.writeable
         for i, p in enumerate(ops):
             before = ScalarModeState(g, z[i], ell[i], 0.0)
@@ -335,7 +363,8 @@ def _k4_rows(nu=1.0, theta=0.5, startup_steps=2, alpha_w=2.0, alpha0=4.0 / 3.0):
 def test_one_factorization_per_march(monkeypatch, theta, startup_steps, factorizations):
     # the factor is keyed on theta nu dt, so the substeps theta = 1, dt/2 of a
     # two-substep start reuse the Crank-Nicolson factor, and each distinct
-    # operator of the stack is factored once
+    # operator of the stack is factored once; so too when the only live row
+    # is z_psi_3's (higher-modes-only data), whose factor is gathered
     shapes = []
     inner = dynbc.cholesky_banded
 
@@ -346,16 +375,20 @@ def test_one_factorization_per_march(monkeypatch, theta, startup_steps, factoriz
     monkeypatch.setattr(dynbc, "cholesky_banded", counted)
     g = build_grid(64, 10.0, 1.0)
     ops = _k4_rows(0.7, theta, startup_steps)
-    stepper = dynbc.PackedStepper(g, ops)  # a fresh factor cache
-    z = np.random.default_rng(4).standard_normal((len(ops), g.n_points))
-    z[:, -1] = 0.0
-    ell = z[:, 0]
-    for j in range(4):
-        z = stepper.step(z, ell, 0.1, theta, startup_steps, first_step=j == 0)
-        ell = z[:, 0]
-    assert len(shapes) == factorizations
+    every = np.random.default_rng(4).standard_normal((len(ops), g.n_points))
+    every[:, -1] = 0.0
+    one = np.zeros_like(every)
+    one[5] = every[5]
     size = 5 * (g.n_points - 1)  # the five distinct blocks, stacked
-    assert set(shapes) == {((size,), (size - 1,))}
+    for z in (every, one):
+        shapes.clear()
+        stepper = dynbc.PackedStepper(g, ops)  # a fresh factor cache
+        ell = z[:, 0]
+        for j in range(4):
+            z = stepper.step(z, ell, 0.1, theta, startup_steps, first_step=j == 0)
+            ell = z[:, 0]
+        assert len(shapes) == factorizations
+        assert set(shapes) == {((size,), (size - 1,))}
 
 
 def _row_bands(stepper):
@@ -489,7 +522,11 @@ def test_indefinite_system_is_a_solver_failure():
 def test_packed_step_matches_a_dense_solve_property():
     # one theta step of a random row mix is F^{-1} (M u / theta + dt f + fix)
     # - ((1 - theta) / theta) u with F = M + theta nu dt K assembled densely
-    # from the stepper's bands and solved by numpy.linalg.solve
+    # from the stepper's bands and solved by numpy.linalg.solve (a first step
+    # with start-up substeps: that many theta = 1 steps of dt / substeps, the
+    # trace fix in the first).  Some profiles are zero (+0.0 or -0.0), most
+    # with a zero trace, and the sources cover the leading rows only: the
+    # whole stack equals the solve of every row bit for bit
     hyp = pytest.importorskip("hypothesis")
     hst = hyp.strategies
 
@@ -501,44 +538,60 @@ def test_packed_step_matches_a_dense_solve_property():
         kinds=hst.lists(hst.integers(0, 5), min_size=1, max_size=6),
         nu=hst.floats(0.2, 2.0),
         dt=hst.floats(1e-3, 1.0),
-        theta=hst.floats(0.05, 1.0),
+        theta=hst.one_of(hst.sampled_from([0.5, 0.75, 1.0]), hst.floats(0.05, 1.0)),
+        startup_steps=hst.integers(0, 2),
         first_step=hst.booleans(),
         forced=hst.booleans(),
         seed=hst.integers(0, 2**32 - 1),
     )
-    def check(n_points, r_max, stretch, kinds, nu, dt, theta, first_step, forced, seed):
+    def check(n_points, r_max, stretch, kinds, nu, dt, theta, startup_steps, first_step,
+              forced, seed):
         g = build_grid(n_points, r_max, stretch)
         rng = np.random.default_rng(seed)
-        ops = [DynBCParams(kind, float(rng.uniform(0.2, 5.0)), nu, "dynamic", theta, 0)
-               if kind < 2 else DynBCParams(kind - 1, 1.0, nu, "dirichlet", theta, 0)
+        ops = [DynBCParams(kind, float(rng.uniform(0.2, 5.0)), nu, "dynamic", theta,
+                           startup_steps) if kind < 2 else
+               DynBCParams(kind - 1, 1.0, nu, "dirichlet", theta, startup_steps)
                for kind in kinds]
         dynamic = np.array([kind < 2 for kind in kinds])
         alpha = np.array([p.alpha_tilde for p in ops])
         z = rng.standard_normal((len(ops), g.n_points))
         z[:, -1] = 0.0
         ell = rng.standard_normal(len(ops))
+        _zero_rows(rng, z, ell)
         sources = None
         if forced:
-            sources = (rng.standard_normal((len(ops), g.n_points)), rng.standard_normal(len(ops)))
+            rows = int(rng.integers(0, len(ops) + 2))
+            sources = (rng.standard_normal((rows, g.n_points)), rng.standard_normal(rows))
         stepper = dynbc.PackedStepper(g, ops)
-        new = stepper.step(z, ell, dt, theta, 0, sources, first_step)
+        new = stepper.step(z, ell, dt, theta, startup_steps, sources, first_step)
+        whole = _step_every_row(stepper, z, ell, dt, theta, startup_steps, sources, first_step)
+        assert new.tobytes() == whole.tobytes()
         w = g.quad_weights[:-1]
         u = z[:, :-1].copy()
         u[:, 0] = np.where(dynamic, ell, 0.0)
         mvec, k_diag, k_off = _row_bands(stepper)
-        rhs = mvec * u / theta
+        fix = np.zeros_like(u)
         if first_step:
-            rhs[:, 0] += np.where(dynamic, w[0] * (z[:, 0] - ell), 0.0)
+            fix[:, 0] = np.where(dynamic, w[0] * (z[:, 0] - ell), 0.0)
+        f = np.zeros_like(u)
         if forced:
-            f = w * sources[0][:, :-1]
-            f[:, 0] = np.where(dynamic, f[:, 0] + sources[1] / alpha, 0.0)
-            rhs += dt * f
-        a = theta * nu * dt
-        coupling = a * k_off.ravel()[:-1]
-        dense = np.diag((mvec + a * k_diag).ravel()) + np.diag(coupling, 1) + np.diag(coupling, -1)
-        x = np.linalg.solve(dense, rhs.ravel()).reshape(u.shape)
-        want = x - ((1.0 - theta) / theta) * u
-        assert np.max(np.abs(new[:, :-1] - want)) <= 1e-12 * np.max(np.abs(x))
+            m = min(len(sources[1]), len(ops))
+            f[:m] = w * sources[0][:m, :-1]
+            f[:m, 0] = np.where(dynamic[:m], f[:m, 0] + sources[1][:m] / alpha[:m], 0.0)
+        substeps = [(theta, dt)]
+        if first_step and startup_steps and theta != 1.0:
+            substeps = [(1.0, dt / startup_steps)] * startup_steps
+        scale = 0.0
+        for j, (th, h) in enumerate(substeps):
+            a = th * nu * h
+            coupling = a * k_off.ravel()[:-1]
+            dense = (np.diag((mvec + a * k_diag).ravel()) + np.diag(coupling, 1)
+                     + np.diag(coupling, -1))
+            rhs = mvec * u / th + h * f + (fix if j == 0 else 0.0)
+            x = np.linalg.solve(dense, rhs.ravel()).reshape(u.shape)
+            u = x - ((1.0 - th) / th) * u
+            scale = max(scale, np.max(np.abs(x)))
+        assert np.max(np.abs(new[:, :-1] - u)) <= 1e-12 * scale
         assert np.all(new[:, -1] == 0.0)
 
     check()
@@ -753,8 +806,14 @@ def test_geometric_times():
 def test_invalid_steps(grid):
     params = kick_params()
     s = ScalarModeState(grid, np.zeros(grid.n_points), 1.0, 0.0)
-    with pytest.raises(InvalidArgument):
-        dynbc.step(s, params, -0.1)
+    # a dt that is not finite and positive is rejected before any factor is
+    # made and cached under it
+    factors = dynbc.packed_stepper(grid, (params,))._factors
+    cached = len(factors)
+    for dt in (-0.1, math.inf, math.nan):
+        with pytest.raises(InvalidArgument):
+            dynbc.step(s, params, dt)
+        assert len(factors) == cached
     with pytest.raises(InvalidArgument):
         dynbc.evolve(s, params, 1.0, 0.3)  # not an integer number of steps
     # a step that is not finite and positive marches nowhere (or divides by 0)

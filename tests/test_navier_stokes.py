@@ -296,6 +296,27 @@ def test_blowup_guard(grid, params):
             st2, src = ns.step_ns(st2, cfg, 0.5, src, first_step=(j == 0))
 
 
+def test_imex_state_solves_every_row_and_its_shadow_one(monkeypatch):
+    # ns-small-q32 data live in z_psi_1: the forced IMEX state step solves
+    # all nine rows of its k_max = 4 stack, the unforced linear shadow that
+    # one row
+    setup = build_setup(get_preset("ns-small-q32"), {"grid": {"n_points": 256}})
+    sizes = []
+    inner = dynbc.cho_solve_banded
+
+    def recorded(fac, rhs):
+        sizes.append(rhs.size)
+        return inner(fac, rhs)
+
+    monkeypatch.setattr(dynbc, "cho_solve_banded", recorded)
+    dt = setup["time"]["dt"]
+    shadow0 = stokes.init_stokes(setup["decomp0"], setup["params"])
+    ns.evolve_ns(setup["state"], setup["ns_config"], 3 * dt, dt, linear_shadow=shadow0)
+    row = setup["grid"].n_points - 1
+    # two start-up substeps each, then one solve per step
+    assert sizes == [9 * row] * 2 + [row] * 2 + [9 * row, row] * 2
+
+
 def test_kato_zero_data(grid, params):
     cfg = ns.NonlinearConfig(k_max=2, n_theta=16, kato_tol=1e-14)
     st = stokes.init_stokes(zero_decomposition(grid, 2), params)

@@ -460,6 +460,28 @@ def test_one_transform_and_one_inversion_per_state(grid, params, monkeypatch, k_
     assert calls == {"z_transform": 2, "invert_z": 1}
 
 
+def test_higher_modes_march_solves_its_one_live_row(monkeypatch):
+    # higher-modes-only data excite z_psi_3 alone: every (sub)step of its
+    # k_max = 4 march solves that row's n - 1 unknowns, not the nine rows'
+    # 9 (n - 1), and the eight empty rows stay exactly +0.0
+    setup = build_setup(get_preset("higher-modes-only"), {"grid": {"n_points": 256}})
+    sizes = []
+    inner = dynbc.cho_solve_banded
+
+    def recorded(fac, rhs):
+        sizes.append(rhs.size)
+        return inner(fac, rhs)
+
+    monkeypatch.setattr(dynbc, "cho_solve_banded", recorded)
+    state, dt = setup["state"], setup["time"]["dt"]
+    final = stokes.evolve_stokes(state, 5 * dt, dt)
+    assert len(state.z) == 9
+    assert sizes == [setup["grid"].n_points - 1] * 6  # two start-up substeps
+    empty = np.arange(9) != 5
+    assert final.z[5].any() and not final.z[empty].any()
+    assert not np.signbit(final.z[empty]).any()
+
+
 def test_march_validates_parameters_on_its_first_step_only(params, monkeypatch):
     grid = build_grid(96, 12.0, 1.0)  # a fresh grid: nothing memoized on it yet
     state0 = stokes.init_stokes(random_decomposition(grid, np.random.default_rng(25), 4), params)
